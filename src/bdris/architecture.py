@@ -195,14 +195,19 @@ class ScatteringMatrix:
 def scattering_from_susceptance(b, z0: float = DEFAULT_Z0) -> ScatteringMatrix:
     """Lossless scattering matrix of a susceptance matrix.
 
-    Computed as the dense solve of (I + j z0 B) Theta = (I - j z0 B)
-    rather than an explicit inverse, for conditioning.  For real symmetric
-    B the result is symmetric unitary up to rounding; the construction
-    check enforces that.
+    A diagonal B (the single-connected pattern) maps entry by entry,
+    Theta_ii = (1 - j z0 B_ii) / (1 + j z0 B_ii).  Any other B is the dense
+    solve of (I + j z0 B) Theta = (I - j z0 B) rather than an explicit
+    inverse, for conditioning.  For real symmetric B the result is
+    symmetric unitary up to rounding; the construction check enforces that.
     """
     if not isinstance(b, SusceptanceMatrix):
         b = SusceptanceMatrix(b)
     _check_z0(z0)
+    diag = np.diagonal(b.matrix)
+    if np.count_nonzero(b.matrix) == np.count_nonzero(diag):
+        jd = 1j * z0 * diag
+        return ScatteringMatrix(np.diag((1 - jd) / (1 + jd)))
     jb = 1j * z0 * b.matrix
     eye = np.eye(b.n)
     try:

@@ -27,7 +27,7 @@ from .channel import (
     gen_tc_adversarial,
     splitmix64,
 )
-from .errors import InputError
+from .errors import InputError, NumericalFailure
 from .optimize import DEFAULT_RANK_RTOL, optimize
 
 SCENARIOS = ("rayleigh", "gc_favorable", "gc_adversarial", "tc_adversarial", "los")
@@ -134,7 +134,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialReco
         in_a = is_tc_adversarial(pair).in_a if config.check_membership else None
         records = []
         for arch_label, spec in zip(config.archs, archs_by_size[n]):
-            result = optimize(pair, spec, config.z0, DEFAULT_RANK_RTOL)
+            try:
+                result = optimize(pair, spec, config.z0, DEFAULT_RANK_RTOL)
+            except NumericalFailure as exc:
+                raise NumericalFailure(
+                    f"{exc} (scenario {label}, n = {n}, trial {t}, arch {arch_label}, "
+                    f"trial seed {seed})") from exc
             records.append(TrialRecord(
                 scenario=label,
                 n=n,

@@ -7,6 +7,12 @@ the minimum-norm solution is computed from the SVD directly.  Normal
 equations are deliberately avoided; the rank-deficient systems produced by
 adversarial channels would square the condition number and blur the rank
 decision.
+
+The optimizers solve steering systems by structured methods first and call
+min_norm_least_squares only as their fallback: for a tc system or gc group
+whose structured solve meets a near-singular 2x2 determinant (at most
+optimize.NEAR_SINGULAR_RTOL of its Hadamard bound) or leaves a residual
+above optimize.CONSISTENT_RTOL.
 """
 
 from __future__ import annotations

@@ -3,9 +3,20 @@
 The tridiagonal and group-connected optimizers share one idea: a surface
 achieves the relevant upper bound exactly when its susceptance matrix B
 steers the (normalized) transmit channel onto the receive channel, which
-is a linear condition B alpha = beta on the free entries of B.  Stacking
-real and imaginary parts gives an ordinary real least-squares problem; the
-minimum-norm solution is exact whenever the system is consistent and a
+is a linear condition B alpha = beta on the free entries of B.  Each
+pattern's system is solved by a structured method:
+
+- tridiagonal: an O(n) recursion, unique at full column rank;
+- group-connected and fully connected: the closed-form minimum-Frobenius
+  real symmetric solution per group, batched over groups of equal width.
+
+Stacking real and imaginary parts turns any of these systems into an
+ordinary real least-squares problem, solved by SVD as the fallback.  The
+fallback solves a whole tc system, or one gc group, when the structured
+solve divides by a determinant at most NEAR_SINGULAR_RTOL times its
+Hadamard bound (a cut-set adjacency, a near-singular group Gram matrix),
+or when its residual fails CONSISTENT_RTOL.  The minimum-norm
+least-squares solution is exact whenever the system is consistent and a
 well-behaved heuristic when it is not.
 """
 
@@ -23,6 +34,7 @@ from .architecture import (
     ArchitectureSpec,
     ScatteringMatrix,
     SusceptanceMatrix,
+    _check_z0,
     partition_from_cuts,
     pattern_mask,
     received_power,
@@ -38,6 +50,12 @@ DEFAULT_RANK_RTOL = 1e-10
 # A steering system counts as consistent when the least-squares residual is
 # below this, relative to ||b||.
 CONSISTENT_RTOL = 1e-8
+# A structured solve divides by 2x2 determinants: D_k = Im(conj(alpha_k)
+# alpha_{k+1}) for tc, the Gram determinant of [Re alpha, Im alpha] for a gc
+# group.  At or below this fraction of its Hadamard bound (|alpha_k|
+# |alpha_{k+1}|, or the product of the Gram diagonal) the determinant counts
+# as singular and the system goes to the SVD fallback.
+NEAR_SINGULAR_RTOL = 1e-8
 # Group with || hr_hat + ht_hat || below this is degenerate (opposite unit
 # vectors); the linear system vanishes and per-element phasing takes over.
 _DEGENERATE_GROUP_TOL = 1e-10
@@ -84,13 +102,7 @@ def build_tc_system(pair: ChannelPair, z0: float = DEFAULT_Z0) -> LinearSystem:
     the real stacking puts real parts on top of imaginary parts.
     """
     n = pair.n
-    if n < 2:
-        raise InputError("the tridiagonal steering system needs n >= 2")
-    _check_z0(z0)
-    hr = normalize(pair.h_r)
-    ht = normalize(pair.h_t)
-    alpha = 1j * z0 * (hr + ht)
-    beta = ht - hr
+    alpha, beta = _tc_steering(pair, z0)
     a1 = np.diag(alpha)
     a2 = np.zeros((n, n - 1), dtype=complex)
     for k in range(n - 1):
@@ -104,56 +116,58 @@ def build_tc_system(pair: ChannelPair, z0: float = DEFAULT_Z0) -> LinearSystem:
 
 def optimize_tc(pair: ChannelPair, z0: float = DEFAULT_Z0,
                 rank_rtol: float = DEFAULT_RANK_RTOL) -> OptimizeResult:
-    """Tridiagonal optimizer: minimum-norm least squares on the steering system."""
-    system = build_tc_system(pair, z0)
-    sol = min_norm_least_squares(system.a, system.b, rank_rtol)
-    n = system.n
-    b = np.zeros((n, n))
-    b[np.arange(n), np.arange(n)] = sol.x[:n]
-    for k in range(n - 1):
-        b[k, k + 1] = b[k + 1, k] = sol.x[n + k]
-    consistent = sol.residual_norm <= CONSISTENT_RTOL * float(np.linalg.norm(system.b))
-    return _finish(pair, SusceptanceMatrix(b), z0, upper_bound_full(pair),
-                   sol.residual_norm, consistent)
+    """Tridiagonal optimizer: O(n) recursion on the steering system.
+
+    Falls back to minimum-norm least squares on the real-stacked system
+    when a 2x2 block is near-singular or the recursion's residual fails
+    CONSISTENT_RTOL (the adversarial set).
+    """
+    n = pair.n
+    solved = _solve_tridiagonal(*_tc_steering(pair, z0))
+    if solved is None:
+        system = build_tc_system(pair, z0)
+        sol = min_norm_least_squares(system.a, system.b, rank_rtol)
+        diag, coupling, residual = sol.x[:n], sol.x[n:], sol.residual_norm
+        consistent = residual <= CONSISTENT_RTOL * float(np.linalg.norm(system.b))
+    else:
+        diag, coupling, residual = solved
+        consistent = True
+    b = np.diag(diag)
+    k = np.arange(n - 1)
+    b[k, k + 1] = b[k + 1, k] = coupling
+    return _finish(pair, SusceptanceMatrix(b), z0, upper_bound_full(pair), residual, consistent)
 
 
 def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0,
                 rank_rtol: float = DEFAULT_RANK_RTOL) -> OptimizeResult:
-    """Group-connected optimizer: one dense steering system per group.
+    """Group-connected optimizer: one steering system per group.
 
     Each group is normalized independently, which pins every group's
     contribution to phase zero so they add coherently; under that
     normalization the per-group consistency scalar Im(alpha^H beta)
     vanishes identically and the group systems are generically solvable.
-    Degenerate groups (hr_hat ~ -ht_hat, vanishing alpha) fall back to
-    per-element phasing, which meets the group bound in that case.
+    Groups of equal width are solved together in closed form; a group the
+    closed form does not take goes through _solve_group_fallback.
     """
     _check_z0(z0)
     n = pair.n
-    spans = partition_from_cuts(cuts, n)
+    starts_by_width: dict[int, list[int]] = {}
+    for lo, hi in partition_from_cuts(cuts, n):
+        starts_by_width.setdefault(hi - lo, []).append(lo)
     b = np.zeros((n, n))
     worst_residual = 0.0
     scale = 0.0
-    for lo, hi in spans:
-        hr = pair.h_r[lo:hi]
-        ht = pair.h_t[lo:hi]
-        nr = float(np.linalg.norm(hr))
-        nt = float(np.linalg.norm(ht))
-        if nr == 0.0 or nt == 0.0:
-            continue  # dead group: contributes nothing for any block value
-        hrn = hr / nr
-        htn = ht / nt
-        if np.linalg.norm(hrn + htn) < _DEGENERATE_GROUP_TOL:
-            d = _phase_align_susceptance(hr, ht, z0)
-            idx = np.arange(lo, hi)
-            b[idx, idx] = d
-            continue
-        a, rhs, index_pairs = _group_system(hrn, htn, z0)
-        sol = min_norm_least_squares(a, rhs, rank_rtol)
-        for c, (i, j) in enumerate(index_pairs):
-            b[lo + i, lo + j] = b[lo + j, lo + i] = sol.x[c]
-        worst_residual = max(worst_residual, sol.residual_norm)
-        scale = max(scale, float(np.linalg.norm(rhs)))
+    for width, starts in starts_by_width.items():
+        idx = np.array(starts)[:, None] + np.arange(width)
+        blocks, residuals, rhs_norms, solved = _solve_symmetric_groups(
+            pair.h_r[idx], pair.h_t[idx], z0)
+        for g in np.flatnonzero(~solved):
+            lo = starts[g]
+            blocks[g], residuals[g], rhs_norms[g] = _solve_group_fallback(
+                pair.h_r[lo:lo + width], pair.h_t[lo:lo + width], z0, rank_rtol)
+        b[idx[:, :, None], idx[:, None, :]] = blocks
+        worst_residual = max(worst_residual, float(residuals.max()))
+        scale = max(scale, float(rhs_norms.max()))
     consistent = worst_residual <= CONSISTENT_RTOL * scale if scale > 0.0 else True
     return _finish(pair, SusceptanceMatrix(b), z0, upper_bound_gc(pair, cuts),
                    worst_residual, consistent)
@@ -321,6 +335,120 @@ def _line_search(eval_one, vals, ci, z0, f_cur):
     return max(cands, key=lambda t: t[0])
 
 
+def _steering(hr_hat, ht_hat, z0: float):
+    """alpha = j z0 (hr_hat + ht_hat) and beta = ht_hat - hr_hat of B alpha = beta."""
+    return 1j * z0 * (hr_hat + ht_hat), ht_hat - hr_hat
+
+
+def _tc_steering(pair: ChannelPair, z0: float):
+    """alpha and beta of the whole-surface steering system, for n >= 2."""
+    if pair.n < 2:
+        raise InputError("the tridiagonal steering system needs n >= 2")
+    _check_z0(z0)
+    return _steering(normalize(pair.h_r), normalize(pair.h_t), z0)
+
+
+def _solve_tridiagonal(alpha, beta):
+    """(diagonal, couplings, residual norm) of tridiagonal B alpha = beta, or None.
+
+    Row k reads B_kk alpha_k + B_{k-1,k} alpha_{k-1} + B_{k,k+1} alpha_{k+1}
+    = beta_k.  Once B_{k-1,k} is known its real and imaginary parts are a
+    2x2 solve for (B_kk, B_{k,k+1}) with determinant D_k = Im(conj(alpha_k)
+    alpha_{k+1}).  Eliminating B_kk gives B_{k,k+1} D_k = B_{k-1,k} D_{k-1}
+    + Im(conj(alpha_k) beta_k), so every coupling is a running sum over D_k,
+    and an error made at step j reaches step k scaled by D_{j-1} / D_k.
+    Each diagonal entry is then the projection of what its row leaves onto
+    alpha_k; the last row carries the consistency residual Im(alpha^H beta).
+
+    Returns None when some |D_k| is at most NEAR_SINGULAR_RTOL |alpha_k|
+    |alpha_{k+1}| or the residual ||B alpha - beta|| fails CONSISTENT_RTOL.
+    """
+    modulus = np.abs(alpha)
+    det = (alpha[:-1].conj() * alpha[1:]).imag
+    if not np.all(np.abs(det) > NEAR_SINGULAR_RTOL * modulus[:-1] * modulus[1:]):
+        return None
+    coupling = np.cumsum((alpha[:-1].conj() * beta[:-1]).imag) / det
+    rest = beta.copy()
+    rest[1:] -= coupling * alpha[:-1]
+    rest[:-1] -= coupling * alpha[1:]
+    diag = (alpha.conj() * rest).real / modulus ** 2
+    residual = float(np.linalg.norm(rest - diag * alpha))
+    if residual > CONSISTENT_RTOL * float(np.linalg.norm(beta)):
+        return None
+    return diag, coupling, residual
+
+
+def _solve_symmetric_groups(hr, ht, z0: float):
+    """Closed-form steering blocks for a stack of equal-width groups.
+
+    With X = [Re alpha, Im alpha] and Y = [Re beta, Im beta] of one group,
+    the minimum-Frobenius real symmetric B with B X = Y is
+    Y X+ + X+^T Y^T - X+^T X^T Y X+, X+ = (X^T X)^-1 X^T.  It exists exactly
+    when X^T Y is symmetric, which per-group normalization guarantees.
+
+    hr, ht have shape (groups, width).  Returns the blocks, the residual
+    norms ||B X - Y||, the norms ||Y||, and a mask of the groups solved: a
+    group is left unsolved (zero block) when it is dead or degenerate, its
+    Gram matrix X^T X is near-singular, or its residual fails
+    CONSISTENT_RTOL.
+    """
+    groups, width = hr.shape
+    blocks = np.zeros((groups, width, width))
+    residuals = np.zeros(groups)
+    rhs_norms = np.zeros(groups)
+    solved = np.zeros(groups, dtype=bool)
+    nr = np.linalg.norm(hr, axis=1)
+    nt = np.linalg.norm(ht, axis=1)
+    live = np.flatnonzero((nr > 0.0) & (nt > 0.0))
+    hrn = hr[live] / nr[live, None]
+    htn = ht[live] / nt[live, None]
+    alpha, beta = _steering(hrn, htn, z0)
+    x = np.stack([alpha.real, alpha.imag], axis=2)
+    y = np.stack([beta.real, beta.imag], axis=2)
+    gram = x.transpose(0, 2, 1) @ x
+    g00, g01, g11 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    take = ((g00 * g11 - g01 * g01 > NEAR_SINGULAR_RTOL * g00 * g11)
+            & (np.linalg.norm(hrn + htn, axis=1) >= _DEGENERATE_GROUP_TOL))
+    live, gram, x, y = live[take], gram[take], x[take], y[take]
+    xt = x.transpose(0, 2, 1)
+    pinv = np.linalg.solve(gram, xt)
+    yp = y @ pinv
+    bk = yp + yp.transpose(0, 2, 1) - pinv.transpose(0, 2, 1) @ (xt @ y) @ pinv
+    bk = 0.5 * (bk + bk.transpose(0, 2, 1))  # exactly symmetric
+    res = np.linalg.norm(bk @ x - y, axis=(1, 2))
+    rhs = np.linalg.norm(y, axis=(1, 2))
+    ok = res <= CONSISTENT_RTOL * rhs
+    live = live[ok]
+    blocks[live], residuals[live], rhs_norms[live], solved[live] = bk[ok], res[ok], rhs[ok], True
+    return blocks, residuals, rhs_norms, solved
+
+
+def _solve_group_fallback(hr, ht, z0: float, rank_rtol: float):
+    """(block, residual norm, ||rhs||) of one group without the closed form.
+
+    A dead group (zero channel on either side) contributes nothing for any
+    block value and gets a zero block.  A degenerate group (hr_hat ~
+    -ht_hat, vanishing alpha) gets per-element phasing, which meets the
+    group bound in that case.  Any other group is solved by minimum-norm
+    least squares on its real-stacked system.
+    """
+    k = hr.size
+    block = np.zeros((k, k))
+    nr = float(np.linalg.norm(hr))
+    nt = float(np.linalg.norm(ht))
+    if nr == 0.0 or nt == 0.0:
+        return block, 0.0, 0.0
+    hrn = hr / nr
+    htn = ht / nt
+    if np.linalg.norm(hrn + htn) < _DEGENERATE_GROUP_TOL:
+        return np.diag(_phase_align_susceptance(hr, ht, z0)), 0.0, 0.0
+    a, rhs, index_pairs = _group_system(hrn, htn, z0)
+    sol = min_norm_least_squares(a, rhs, rank_rtol)
+    for c, (i, j) in enumerate(index_pairs):
+        block[i, j] = block[j, i] = sol.x[c]
+    return block, sol.residual_norm, float(np.linalg.norm(rhs))
+
+
 def _group_system(hr_n, ht_n, z0: float):
     """Real-stacked steering system of one fully-coupled group.
 
@@ -328,8 +456,7 @@ def _group_system(hr_n, ht_n, z0: float):
     first, then couplings (i, j) with i < j in row-major order.
     """
     k = hr_n.size
-    alpha = 1j * z0 * (hr_n + ht_n)
-    beta = ht_n - hr_n
+    alpha, beta = _steering(hr_n, ht_n, z0)
     index_pairs = [(i, i) for i in range(k)]
     index_pairs += [(i, j) for i in range(k) for j in range(i + 1, k)]
     m = np.zeros((k, len(index_pairs)), dtype=complex)
@@ -373,7 +500,3 @@ def _finish(pair, b_matrix, z0, p_bar_arch, residual_norm, consistent) -> Optimi
         consistent=consistent,
     )
 
-
-def _check_z0(z0) -> None:
-    if not np.isfinite(z0) or z0 <= 0:
-        raise InputError(f"reference impedance must be positive and finite, got {z0!r}")

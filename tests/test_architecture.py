@@ -110,6 +110,18 @@ def test_cayley_map_frozen_values():
     assert np.allclose(theta2.matrix, expect, atol=1e-14)
 
 
+def test_cayley_map_diagonal_matches_dense_solve():
+    rng = np.random.default_rng(21)
+    d = rng.standard_normal(64) * 10.0 ** rng.uniform(-8, 8, 64)
+    d[::7] = 0.0
+    for z0 in (1.0, 50.0):
+        theta = scattering_from_susceptance(np.diag(d), z0=z0).matrix
+        jb = 1j * z0 * np.diag(d)
+        dense = np.linalg.solve(np.eye(64) + jb, np.eye(64) - jb)
+        assert not np.any(theta - np.diag(np.diagonal(theta)))
+        assert np.max(np.abs(theta - dense)) <= 1e-15
+
+
 def test_cayley_map_defects_random_patterns():
     rng = Rng(20)
     kinds = (

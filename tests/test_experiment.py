@@ -1,11 +1,14 @@
 """Tests for the Monte Carlo harness: seeding, determinism, CSV stability."""
 
+import importlib
 import io
 
 import numpy as np
 import pytest
 
-from bdris.errors import InputError
+from bdris.channel import Rng, gen_rayleigh
+from bdris.cli import main
+from bdris.errors import InputError, NumericalFailure
 from bdris.experiment import (
     ExperimentConfig,
     mix64,
@@ -199,3 +202,40 @@ def test_thread_count_validated():
     config = ExperimentConfig(scenario="rayleigh", sizes=(2,), trials=1)
     with pytest.raises(InputError):
         run_experiment(config, threads=0)
+
+
+def fail_on_pair(monkeypatch, target, arch_kind):
+    """Make optimize() raise NumericalFailure on one pair and architecture kind."""
+    experiment = importlib.import_module("bdris.experiment")
+    real = experiment.optimize
+
+    def optimize(pair, spec, *args):
+        if spec.kind == arch_kind and np.array_equal(pair.h_r, target.h_r):
+            raise NumericalFailure("scattering matrix check failed")
+        return real(pair, spec, *args)
+
+    monkeypatch.setattr(experiment, "optimize", optimize)
+
+
+@pytest.mark.parametrize("threads", (1, 4))
+def test_numerical_failure_names_the_trial(monkeypatch, threads):
+    config = ExperimentConfig(scenario="rayleigh", sizes=(4, 6), trials=5,
+                              archs=("sc", "tc"), seed=13)
+    seed = mix64(13, 1, 2)
+    fail_on_pair(monkeypatch, gen_rayleigh(6, Rng(seed)), "tree_tridiagonal")
+    with pytest.raises(NumericalFailure) as info:
+        run_experiment(config, threads=threads)
+    assert str(info.value) == ("scattering matrix check failed (scenario rayleigh, n = 6, "
+                               f"trial 2, arch tc, trial seed {seed})")
+
+
+def test_simulate_exit_3_names_the_trial(monkeypatch, tmp_path, capsys):
+    seed = mix64(13, 0, 1)
+    fail_on_pair(monkeypatch, gen_rayleigh(4, Rng(seed)), "single_connected")
+    out = tmp_path / "records.csv"
+    code = main(["simulate", "--scenario", "rayleigh", "--sizes", "4", "--trials", "3",
+                 "--arch", "tc,sc", "--seed", "13", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "bdris: numerical failure: scattering matrix check failed (scenario rayleigh, "
+        f"n = 4, trial 1, arch sc, trial seed {seed})")

@@ -9,114 +9,3 @@ experiment harness with a CLI front end.
 """
 
 __version__ = "0.1.0"
-
-from .adversarial import (
-    MembershipReport,
-    cut_set,
-    is_gc_adversarial,
-    is_tc_adversarial,
-    is_tc_adversarial_bruteforce,
-    matches_cut_set,
-    real_proportional,
-    reduce_coupling,
-)
-from .architecture import (
-    ArchitectureSpec,
-    ScatteringMatrix,
-    SusceptanceMatrix,
-    parse_arch,
-    partition_from_cuts,
-    pattern_mask,
-    received_power,
-    scattering_from_susceptance,
-    upper_bound_full,
-    upper_bound_gc,
-)
-from .channel import (
-    ChannelPair,
-    Rng,
-    gen_gc_adversarial,
-    gen_gc_favorable,
-    gen_los,
-    gen_rayleigh,
-    gen_tc_adversarial,
-    normalize,
-    read_channel_json,
-    write_channel_json,
-)
-from .errors import InputError, NumericalFailure
-from .experiment import (
-    ExperimentConfig,
-    SummaryRow,
-    TrialRecord,
-    mix64,
-    run_experiment,
-    summarize,
-    write_records_csv,
-    write_summary_csv,
-)
-from .linalg import LsSolution, check_symmetric_unitary, min_norm_least_squares
-from .optimize import (
-    LinearSystem,
-    OptimizeResult,
-    SearchResult,
-    brute_force_power_search,
-    build_tc_system,
-    optimize,
-    optimize_gc,
-    optimize_sc,
-    optimize_tc,
-)
-
-__all__ = [
-    "ArchitectureSpec",
-    "ChannelPair",
-    "ExperimentConfig",
-    "InputError",
-    "LinearSystem",
-    "LsSolution",
-    "MembershipReport",
-    "NumericalFailure",
-    "OptimizeResult",
-    "Rng",
-    "ScatteringMatrix",
-    "SearchResult",
-    "SummaryRow",
-    "SusceptanceMatrix",
-    "TrialRecord",
-    "brute_force_power_search",
-    "build_tc_system",
-    "check_symmetric_unitary",
-    "cut_set",
-    "gen_gc_adversarial",
-    "gen_gc_favorable",
-    "gen_los",
-    "gen_rayleigh",
-    "gen_tc_adversarial",
-    "is_gc_adversarial",
-    "is_tc_adversarial",
-    "is_tc_adversarial_bruteforce",
-    "matches_cut_set",
-    "min_norm_least_squares",
-    "mix64",
-    "normalize",
-    "optimize",
-    "optimize_gc",
-    "optimize_sc",
-    "optimize_tc",
-    "parse_arch",
-    "partition_from_cuts",
-    "pattern_mask",
-    "read_channel_json",
-    "real_proportional",
-    "received_power",
-    "reduce_coupling",
-    "run_experiment",
-    "scattering_from_susceptance",
-    "summarize",
-    "upper_bound_full",
-    "upper_bound_gc",
-    "write_channel_json",
-    "write_records_csv",
-    "write_summary_csv",
-]

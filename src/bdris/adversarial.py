@@ -19,13 +19,11 @@ import numpy as np
 from .architecture import partition_from_cuts
 from .channel import ChannelPair, normalize
 from .errors import InputError
-from .linalg import real_ratio
+from .linalg import ZERO_FLOOR_REL, real_ratio
 
-PROPORTIONAL_TOL = 1e-9
+# Finite group norm ratios differing by more than this (relative to the
+# largest) are mismatched.
 RATIO_TOL = 1e-9
-# Zero floors are relative: an entry of s counts as zero against
-# ZERO_FLOOR_REL * max|s|, a group norm against ZERO_FLOOR_REL * ||h||.
-ZERO_FLOOR_REL = 1e-12
 # 2^(n-1) candidate cut sets; past this the enumeration is pointless.
 BRUTE_FORCE_MAX_N = 16
 
@@ -56,21 +54,11 @@ class MembershipReport:
         })
 
 
-def real_proportional(z1, z2, tol: float = PROPORTIONAL_TOL, floor: float = 0.0):
-    """Whether z1 = gamma * z2 for some finite nonzero real gamma.
-
-    Returns (flag, gamma); gamma is None when the flag is false.  Two
-    entries below the zero floor count as proportional with gamma = 1; a
-    single negligible entry counts as not proportional, since only a zero
-    or infinite ratio could fit and the column-merging identity behind the
-    cut set needs a finite nonzero one.
-    """
-    gamma = real_ratio(z1, z2, tol, floor)
-    return (gamma is not None), gamma
-
-
-def cut_set(pair: ChannelPair, tol: float = PROPORTIONAL_TOL):
+def cut_set(pair: ChannelPair):
     """1-based adjacencies of hr_hat + ht_hat with real-proportional neighbors.
+
+    Proportionality is real_ratio's test, with an entry of s = hr_hat +
+    ht_hat counting as zero against ZERO_FLOOR_REL * max|s|.
 
     Returns (cuts, gammas) with gammas[k] the real ratio of entry cuts[k]
     over entry cuts[k] + 1.
@@ -80,22 +68,23 @@ def cut_set(pair: ChannelPair, tol: float = PROPORTIONAL_TOL):
     cuts = []
     gammas = []
     for i in range(pair.n - 1):
-        gamma = real_ratio(s[i], s[i + 1], tol, floor)
+        gamma = real_ratio(s[i], s[i + 1], floor)
         if gamma is not None:
             cuts.append(i + 1)
             gammas.append(float(gamma))
     return tuple(cuts), tuple(gammas)
 
 
-def is_gc_adversarial(pair: ChannelPair, cuts, tol: float = RATIO_TOL):
+def is_gc_adversarial(pair: ChannelPair, cuts):
     """Whether no single gain matches every group's norm ratio.
 
     Groups are the partition induced by the 1-based cuts (an empty cut
-    list means one group).  A group where both norms are negligible is a
-    wildcard and constrains nothing; a group where exactly one norm is
-    negligible forces the answer to true, since the required gain would be
-    zero or infinite.  Otherwise the answer is true iff the finite ratios
-    are not all equal within the relative tolerance.
+    list means one group).  A group norm is negligible at or below
+    ZERO_FLOOR_REL times the whole vector's norm.  A group where both norms
+    are negligible is a wildcard and constrains nothing; a group where
+    exactly one norm is negligible forces the answer to true, since the
+    required gain would be zero or infinite.  Otherwise the answer is true
+    iff the finite ratios are not all equal within the relative RATIO_TOL.
 
     Returns (flag, ratios) with one ratio per group, None where the
     transmit norm is negligible.
@@ -118,24 +107,24 @@ def is_gc_adversarial(pair: ChannelPair, cuts, tol: float = RATIO_TOL):
             forced = True
             continue
         finite.append(nr / nt)
-    mismatched = bool(finite) and (max(finite) - min(finite)) > tol * max(finite)
+    mismatched = bool(finite) and (max(finite) - min(finite)) > RATIO_TOL * max(finite)
     return forced or mismatched, tuple(ratios)
 
 
-def matches_cut_set(pair: ChannelPair, cuts, tol: float = PROPORTIONAL_TOL) -> bool:
+def matches_cut_set(pair: ChannelPair, cuts) -> bool:
     """Whether the proportionality cut set of the pair equals `cuts` exactly."""
     cuts = tuple(int(c) for c in cuts)
     if not cuts:
         raise InputError("matches_cut_set needs a nonempty cut set")
     partition_from_cuts(cuts, pair.n)  # validates range and ordering
-    found, _ = cut_set(pair, tol)
+    found, _ = cut_set(pair)
     return found == cuts
 
 
-def is_tc_adversarial(pair: ChannelPair, tol: float = PROPORTIONAL_TOL) -> MembershipReport:
+def is_tc_adversarial(pair: ChannelPair) -> MembershipReport:
     """Full membership report: rank-breaking cuts plus mismatched group gains."""
-    cuts, gammas = cut_set(pair, tol)
-    c1, ratios = is_gc_adversarial(pair, cuts, tol)
+    cuts, gammas = cut_set(pair)
+    c1, ratios = is_gc_adversarial(pair, cuts)
     return MembershipReport(
         in_a=bool(cuts) and c1,
         cut_set=cuts,
@@ -145,14 +134,14 @@ def is_tc_adversarial(pair: ChannelPair, tol: float = PROPORTIONAL_TOL) -> Membe
     )
 
 
-def is_tc_adversarial_bruteforce(pair: ChannelPair, tol: float = PROPORTIONAL_TOL) -> bool:
+def is_tc_adversarial_bruteforce(pair: ChannelPair) -> bool:
     """Literal union over every nonempty candidate cut set; n <= 16 only."""
     n = pair.n
     if n > BRUTE_FORCE_MAX_N:
         raise InputError(f"brute-force enumeration is limited to n <= {BRUTE_FORCE_MAX_N}")
     for bits in range(1, 1 << (n - 1)):
         cuts = tuple(i + 1 for i in range(n - 1) if bits >> i & 1)
-        if matches_cut_set(pair, cuts, tol) and is_gc_adversarial(pair, cuts, tol)[0]:
+        if matches_cut_set(pair, cuts) and is_gc_adversarial(pair, cuts)[0]:
             return True
     return False
 

@@ -24,10 +24,6 @@ KIND_TREE = "tree_tridiagonal"
 KIND_FULL = "fully_connected"
 KINDS = (KIND_SINGLE, KIND_GROUP, KIND_TREE, KIND_FULL)
 
-# Construction tolerances for the scattering matrix (max-abs-entry norms).
-THETA_SYM_TOL = 1e-10
-THETA_UNITARY_TOL = 1e-9
-
 
 def partition_from_cuts(cuts, n: int) -> list[tuple[int, int]]:
     """Contiguous 0-based [start, stop) spans delimited by 1-based cuts.
@@ -169,7 +165,11 @@ class SusceptanceMatrix:
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """Symmetric unitary scattering matrix, defect-checked at construction."""
+    """Symmetric unitary scattering matrix, defect-checked at construction.
+
+    The check is linalg.check_symmetric_unitary, against the absolute
+    THETA_SYM_TOL and THETA_UNITARY_TOL.
+    """
 
     matrix: np.ndarray
     symmetry_defect: float = field(default=0.0, compare=False)
@@ -178,7 +178,7 @@ class ScatteringMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        check = check_symmetric_unitary(m, THETA_SYM_TOL, THETA_UNITARY_TOL)
+        check = check_symmetric_unitary(m)
         object.__setattr__(self, "symmetry_defect", check.symmetry_defect)
         object.__setattr__(self, "unitarity_defect", check.unitarity_defect)
         if not check.ok:

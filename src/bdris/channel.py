@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalFailure
-from .linalg import real_ratio
+from .linalg import ZERO_FLOOR_REL, real_ratio
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64 constants: stream increment and the two avalanche multipliers.
@@ -25,8 +25,8 @@ _MIX2 = 0x94D049BB133111EB
 # Swapped-pair moduli closer than this (relative) put the membership test
 # on a knife edge, so such draws are rejected.
 _SWAP_MODULI_RTOL = 1e-6
-_PROPORTIONAL_TOL = 1e-9
-_ZERO_FLOOR_REL = 1e-12
+# Rejected draws allowed per gen_tc_adversarial call.
+_SWAP_MAX_RETRIES = 100
 
 
 def splitmix64(z: int) -> int:
@@ -185,7 +185,7 @@ def default_swap_extent(n: int) -> int:
     return q if q % 2 == 1 else q - 1
 
 
-def gen_tc_adversarial(n: int, rng: Rng, q: int | None = None, max_retries: int = 100) -> ChannelPair:
+def gen_tc_adversarial(n: int, rng: Rng, q: int | None = None) -> ChannelPair:
     """Channels whose tridiagonal steering system is rank deficient.
 
     h_r is a normalized complex Gaussian; h_t copies it with adjacent
@@ -193,7 +193,8 @@ def gen_tc_adversarial(n: int, rng: Rng, q: int | None = None, max_retries: int 
     proportional adjacency of h_r + h_t at exactly those cuts.  Draws are
     rejected while any swapped pair has nearly equal moduli or any
     unplanted adjacency is accidentally proportional, so accepted draws
-    have cut set exactly {1, 3, ..., q}.
+    have cut set exactly {1, 3, ..., q}: the adjacency test is
+    adversarial.cut_set's, real_ratio with the same ZERO_FLOOR_REL floor.
     """
     _check_size(n)
     if n < 2:
@@ -204,7 +205,7 @@ def gen_tc_adversarial(n: int, rng: Rng, q: int | None = None, max_retries: int 
         raise InputError(f"swap extent q = {q} must be odd and within [1, {n - 1}]")
     swapped = [(i, i + 1) for i in range(0, q, 2)]
     planted = {i for i, _ in swapped}
-    for _ in range(max_retries):
+    for _ in range(_SWAP_MAX_RETRIES):
         h = rng.complex_gaussian(n)
         nrm = np.linalg.norm(h)
         if nrm == 0.0:
@@ -217,15 +218,15 @@ def gen_tc_adversarial(n: int, rng: Rng, q: int | None = None, max_retries: int 
         for i, j in swapped:
             t[i], t[j] = h[j], h[i]
         s = h + t
-        floor = _ZERO_FLOOR_REL * float(np.max(np.abs(s)))
+        floor = ZERO_FLOOR_REL * float(np.max(np.abs(s)))
         accidental = any(
-            i not in planted and real_ratio(s[i], s[i + 1], _PROPORTIONAL_TOL, floor) is not None
+            i not in planted and real_ratio(s[i], s[i + 1], floor) is not None
             for i in range(n - 1)
         )
         if accidental:
             continue
         return ChannelPair(h, t)
-    raise NumericalFailure(f"no acceptable swap-construction draw in {max_retries} attempts")
+    raise NumericalFailure(f"no acceptable swap-construction draw in {_SWAP_MAX_RETRIES} attempts")
 
 
 def write_channel_json(pair: ChannelPair, fp) -> None:

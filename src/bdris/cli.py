@@ -14,26 +14,18 @@ import os
 import sys
 
 from . import __version__
-from .adversarial import is_tc_adversarial, is_tc_adversarial_bruteforce
+from .adversarial import BRUTE_FORCE_MAX_N, is_tc_adversarial, is_tc_adversarial_bruteforce
 from .architecture import parse_arch
-from .channel import (
-    Rng,
-    default_swap_extent,
-    gen_gc_adversarial,
-    gen_gc_favorable,
-    gen_los,
-    gen_rayleigh,
-    gen_tc_adversarial,
-    read_channel_json,
-    write_channel_json,
-)
+from .channel import Rng, read_channel_json, write_channel_json
 from .errors import InputError, NumericalFailure
 from .experiment import (
     DEFAULT_SIZES,
     DEFAULT_TRIALS,
-    ExperimentConfig,
+    SCENARIO_TABLE,
     SCENARIOS,
+    ExperimentConfig,
     mix64,
+    oracle_mix,
     run_experiment,
     summarize,
     write_records_csv,
@@ -208,11 +200,13 @@ def _cmd_oracle(args) -> int:
     if args.trials < 1:
         raise InputError(f"trials must be positive, got {args.trials}")
     _echo_config({"command": "oracle", "n": args.n, "trials": args.trials, "seed": args.seed})
-    generators = _oracle_generators(args.n)
+    if not 1 <= args.n <= BRUTE_FORCE_MAX_N:
+        raise InputError(f"oracle runs need 1 <= n <= {BRUTE_FORCE_MAX_N}, got {args.n}")
+    mix = oracle_mix(args.n)
     disagreements = 0
     for t in range(args.trials):
-        rng = Rng(mix64(args.seed, 0, t))
-        pair = generators[t % len(generators)](rng)
+        scenario, group_size = mix[t % len(mix)]
+        pair, _ = scenario.draw(args.n, Rng(mix64(args.seed, 0, t)), group_size)
         direct = is_tc_adversarial(pair).in_a
         brute = is_tc_adversarial_bruteforce(pair)
         if direct != brute:
@@ -226,34 +220,10 @@ def _cmd_gen(args) -> int:
         "command": "gen", "scenario": args.scenario, "n": args.n, "seed": args.seed,
         "q": args.q, "group_size": args.group_size, "out": args.out,
     })
-    rng = Rng(args.seed)
-    n = args.n
-    if args.scenario == "rayleigh":
-        pair = gen_rayleigh(n, rng)
-    elif args.scenario == "los":
-        pair = gen_los(n, rng)
-    elif args.scenario == "gc_favorable":
-        pair = gen_gc_favorable(n, args.group_size if args.group_size else 2, rng)
-    elif args.scenario == "gc_adversarial":
-        pair = gen_gc_adversarial(n, args.group_size if args.group_size else 4, rng)
-    else:
-        pair = gen_tc_adversarial(n, rng, args.q)
+    pair, _ = SCENARIO_TABLE[args.scenario].draw(args.n, Rng(args.seed), args.group_size, args.q)
     with open(args.out, "w", newline="\n") as fp:
         write_channel_json(pair, fp)
     return EXIT_OK
-
-
-def _oracle_generators(n: int):
-    """Scenario mix for the oracle run, restricted to sizes each generator accepts."""
-    if not 1 <= n <= 16:
-        raise InputError(f"oracle runs need 1 <= n <= 16, got {n}")
-    gens = [lambda rng: gen_rayleigh(n, rng), lambda rng: gen_los(n, rng)]
-    if n >= 2:
-        gens.append(lambda rng: gen_tc_adversarial(n, rng))
-    if n % 2 == 0:
-        gens.append(lambda rng: gen_gc_favorable(n, 2, rng))
-        gens.append(lambda rng: gen_gc_adversarial(n, 4 if n % 4 == 0 else 2, rng))
-    return gens
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:

@@ -3,13 +3,15 @@
 One channel pair is drawn per (size, trial) from its own derived seed and
 shared by every architecture, so architectures see paired trials.  Records
 are a pure function of the configuration: execution order and worker count
-never change a byte of the output.
+never change a byte of the output.  Every draw, here and in the CLI's gen
+and oracle commands, goes through SCENARIO_TABLE.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,19 +30,97 @@ from .channel import (
     splitmix64,
 )
 from .errors import InputError, NumericalFailure
-from .optimize import DEFAULT_RANK_RTOL, optimize
+from .optimize import optimize
 
-SCENARIOS = ("rayleigh", "gc_favorable", "gc_adversarial", "tc_adversarial", "los")
 DEFAULT_SIZES = (8, 16, 24, 32, 40, 48, 56, 64)
 DEFAULT_TRIALS = 1000
-# Scenario generators with a group structure and their default group sizes.
-_DEFAULT_GROUP_SIZE = {"gc_favorable": 2, "gc_adversarial": 4}
 
 _MASK64 = (1 << 64) - 1
 _TRIAL_LANE = 0xBF58476D1CE4E5B9
 
 RECORD_HEADER = "scenario,n,arch,trial,seed,p_r,p_bar_full,ratio_full,residual_norm,consistent"
 SUMMARY_HEADER = "scenario,n,arch,trials,mean_ratio,std_ratio,min_ratio,max_ratio,consistent_fraction"
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """How one scenario draws its channel pair at a given size.
+
+    generate(n, rng, group_size, q) calls the generator.  It looks the
+    generator up by name in this module at every call, so a wrapper set on
+    that name later (the benchmark tracer's, a test's) sees every draw.
+    group_sizes is empty for scenarios without a group structure; otherwise
+    its first entry is the default group size and any later one is what
+    the oracle mix falls back to when the default does not divide n.  A
+    scenario with swaps has a swap extent q, which is part of its record
+    label.
+    """
+
+    name: str
+    generate: Callable[[int, Rng, int | None, int | None], ChannelPair]
+    group_sizes: tuple[int, ...] = ()
+    swaps: bool = False
+
+    def resolve(self, n: int, group_size: int | None = None,
+                q: int | None = None) -> tuple[int | None, int | None]:
+        """(group size, swap extent) of a draw at size n, defaults filled in.
+
+        Raises InputError when the parameters do not fit n; the parameters
+        a scenario does not use are ignored and come back as None.
+        """
+        if self.group_sizes:
+            gs = self.group_sizes[0] if group_size is None else group_size
+            if gs < 1 or n % gs:
+                raise InputError(f"group size {gs} must divide every size; n = {n} fails")
+            return gs, None
+        if self.swaps:
+            if n < 2:
+                raise InputError(f"{self.name} needs sizes >= 2")
+            if q is None:
+                return None, default_swap_extent(n)
+            if q % 2 == 0 or not 1 <= q <= n - 1:
+                raise InputError(f"q = {q} must be odd and within [1, {n - 1}] for every size")
+            return None, q
+        return None, None
+
+    def draw(self, n: int, rng: Rng, group_size: int | None = None,
+             q: int | None = None) -> tuple[ChannelPair, str]:
+        """(pair, record label) of one draw at size n."""
+        gs, q = self.resolve(n, group_size, q)
+        # the swap extent is part of the scenario identity, so label it
+        label = f"{self.name}:q={q}" if self.swaps else self.name
+        return self.generate(n, rng, gs, q), label
+
+
+SCENARIO_TABLE = {s.name: s for s in (
+    Scenario("rayleigh", lambda n, rng, gs, q: gen_rayleigh(n, rng)),
+    Scenario("gc_favorable", lambda n, rng, gs, q: gen_gc_favorable(n, gs, rng), (2,)),
+    Scenario("gc_adversarial", lambda n, rng, gs, q: gen_gc_adversarial(n, gs, rng), (4, 2)),
+    Scenario("tc_adversarial", lambda n, rng, gs, q: gen_tc_adversarial(n, rng, q), swaps=True),
+    Scenario("los", lambda n, rng, gs, q: gen_los(n, rng)),
+)}
+SCENARIOS = tuple(SCENARIO_TABLE)
+# Order in which oracle runs cycle through the scenarios.
+ORACLE_SCENARIOS = ("rayleigh", "los", "tc_adversarial", "gc_favorable", "gc_adversarial")
+
+
+def oracle_mix(n: int) -> list[tuple[Scenario, int | None]]:
+    """(scenario, group size) of every oracle scenario that can draw at size n.
+
+    A group scenario takes the first of its group sizes that divides n and
+    is left out when none does.
+    """
+    mix = []
+    for name in ORACLE_SCENARIOS:
+        scenario = SCENARIO_TABLE[name]
+        for group_size in scenario.group_sizes or (None,):
+            try:
+                scenario.resolve(n, group_size)
+            except InputError:
+                continue
+            mix.append((scenario, group_size))
+            break
+    return mix
 
 
 def mix64(seed: int, size_index: int, trial_index: int) -> int:
@@ -108,20 +188,22 @@ def resolve_archs(config: ExperimentConfig) -> dict[int, list[ArchitectureSpec]]
         raise InputError("at least one architecture is required")
     if config.trials < 1:
         raise InputError(f"trials must be positive, got {config.trials}")
-    if config.scenario not in SCENARIOS:
+    if config.scenario not in SCENARIO_TABLE:
         raise InputError(f"unknown scenario {config.scenario!r}; choose from {SCENARIOS}")
+    scenario = SCENARIO_TABLE[config.scenario]
     resolved = {}
     for n in config.sizes:
         if n < 1:
             raise InputError(f"sizes must be positive, got {n}")
         resolved[n] = [parse_arch(label, n) for label in config.archs]
-        _validate_scenario_params(config, n)
+        scenario.resolve(n, config.group_size, config.q_override)
     return resolved
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
     """All trial records, ordered by (size, trial, arch position)."""
     archs_by_size = resolve_archs(config)
+    scenario = SCENARIO_TABLE[config.scenario]
     if threads < 1:
         raise InputError(f"thread count must be positive, got {threads}")
     tasks = [(si, n, t) for si, n in enumerate(config.sizes) for t in range(config.trials)]
@@ -130,12 +212,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialReco
         si, n, t = task
         seed = mix64(config.seed, si, t)
         rng = Rng(seed)
-        pair, label = _draw_pair(config, n, rng)
+        pair, label = scenario.draw(n, rng, config.group_size, config.q_override)
         in_a = is_tc_adversarial(pair).in_a if config.check_membership else None
         records = []
         for arch_label, spec in zip(config.archs, archs_by_size[n]):
             try:
-                result = optimize(pair, spec, config.z0, DEFAULT_RANK_RTOL)
+                result = optimize(pair, spec, config.z0)
             except NumericalFailure as exc:
                 raise NumericalFailure(
                     f"{exc} (scenario {label}, n = {n}, trial {t}, arch {arch_label}, "
@@ -208,40 +290,6 @@ def write_summary_csv(rows, fp) -> None:
             _fmt(r.std_ratio), _fmt(r.min_ratio), _fmt(r.max_ratio),
             _fmt(r.consistent_fraction),
         ]) + "\n")
-
-
-def _draw_pair(config: ExperimentConfig, n: int, rng: Rng) -> tuple[ChannelPair, str]:
-    scenario = config.scenario
-    if scenario == "rayleigh":
-        return gen_rayleigh(n, rng), scenario
-    if scenario == "los":
-        return gen_los(n, rng), scenario
-    if scenario == "gc_favorable":
-        return gen_gc_favorable(n, _group_size(config, scenario), rng), scenario
-    if scenario == "gc_adversarial":
-        return gen_gc_adversarial(n, _group_size(config, scenario), rng), scenario
-    q = config.q_override if config.q_override is not None else default_swap_extent(n)
-    # the swap extent is part of the scenario identity, so label it
-    return gen_tc_adversarial(n, rng, q), f"tc_adversarial:q={q}"
-
-
-def _group_size(config: ExperimentConfig, scenario: str) -> int:
-    if config.group_size is not None:
-        return config.group_size
-    return _DEFAULT_GROUP_SIZE[scenario]
-
-
-def _validate_scenario_params(config: ExperimentConfig, n: int) -> None:
-    if config.scenario in _DEFAULT_GROUP_SIZE:
-        gs = _group_size(config, config.scenario)
-        if gs < 1 or n % gs:
-            raise InputError(f"group size {gs} must divide every size; n = {n} fails")
-    if config.scenario == "tc_adversarial":
-        if n < 2:
-            raise InputError("tc_adversarial needs sizes >= 2")
-        q = config.q_override
-        if q is not None and (q % 2 == 0 or not 1 <= q <= n - 1):
-            raise InputError(f"q = {q} must be odd and within [1, {n - 1}] for every size")
 
 
 def _fmt(x: float) -> str:

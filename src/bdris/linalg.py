@@ -23,9 +23,20 @@ import numpy as np
 
 from .errors import InputError, NumericalFailure
 
-# Singular values at or below max(rank_rtol * sigma_max, _ABS_FLOOR) count
+# Singular values at or below max(RANK_RTOL * sigma_max, _ABS_FLOOR) count
 # as exact zeros.  The absolute floor only matters when A is all zeros.
+RANK_RTOL = 1e-10
 _ABS_FLOOR = 1e-300
+# Construction tolerances for the scattering matrix Theta (max-abs-entry
+# norms), applied by check_symmetric_unitary.
+THETA_SYM_TOL = 1e-10
+THETA_UNITARY_TOL = 1e-9
+# Two complex entries are real-proportional when |Im(z1 conj(z2))| is at
+# most PROPORTIONAL_TOL m^2 (see real_ratio).  Zero floors are relative: an
+# entry counts as zero against ZERO_FLOOR_REL times the largest entry of its
+# vector, a group norm against ZERO_FLOOR_REL times the whole norm.
+PROPORTIONAL_TOL = 1e-9
+ZERO_FLOOR_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,13 +48,14 @@ class LsSolution:
     numerical_rank: int
 
 
-def min_norm_least_squares(a, b, rank_rtol: float = 1e-10) -> LsSolution:
+def min_norm_least_squares(a, b) -> LsSolution:
     """Solve min ||A x - b||_2 and return the minimum-norm minimizer.
+
+    Singular values <= RANK_RTOL * sigma_max are zeroed.
 
     Args:
         a: real matrix, shape (m, k).
         b: real vector, shape (m,).
-        rank_rtol: singular values <= rank_rtol * sigma_max are zeroed.
 
     Returns:
         LsSolution with x, the 2-norm of A x - b recomputed from the
@@ -59,7 +71,7 @@ def min_norm_least_squares(a, b, rank_rtol: float = 1e-10) -> LsSolution:
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    cutoff = max(rank_rtol * (float(sigma[0]) if sigma.size else 0.0), _ABS_FLOOR)
+    cutoff = max(RANK_RTOL * (float(sigma[0]) if sigma.size else 0.0), _ABS_FLOOR)
     keep = sigma > cutoff
     rank = int(np.count_nonzero(keep))
     if rank == 0:
@@ -79,27 +91,29 @@ class MatrixCheck:
     ok: bool
 
 
-def check_symmetric_unitary(m, sym_tol: float = 1e-10, unitary_tol: float = 1e-9) -> MatrixCheck:
+def check_symmetric_unitary(m) -> MatrixCheck:
     """Measure how far a square matrix is from being symmetric and unitary.
 
-    Defects are max-abs-entry norms of M - M^T and M^H M - I.
+    Defects are max-abs-entry norms of M - M^T and M^H M - I; the check
+    passes when they are within THETA_SYM_TOL and THETA_UNITARY_TOL.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise InputError(f"expected a nonempty square matrix, got shape {m.shape}")
     sym = float(np.max(np.abs(m - m.T)))
     uni = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-    return MatrixCheck(sym, uni, sym <= sym_tol and uni <= unitary_tol)
+    return MatrixCheck(sym, uni, sym <= THETA_SYM_TOL and uni <= THETA_UNITARY_TOL)
 
 
-def real_ratio(z1, z2, tol: float = 1e-9, floor: float = 0.0):
+def real_ratio(z1, z2, floor: float = 0.0):
     """Real gamma with z1 = gamma * z2, or None when no nonzero real ratio fits.
 
-    Entries with modulus at or below tol * m, where m = max(|z1|, |z2|,
-    floor), count as zero.  Two zeros give gamma = 1.0 by convention; a
-    single zero gives None, because only a zero or infinite ratio could
-    fit and downstream column merging needs a finite nonzero one.  Two
-    nonzero entries are proportional iff |Im(z1 * conj(z2))| <= tol * m^2.
+    Entries with modulus at or below PROPORTIONAL_TOL * m, where m =
+    max(|z1|, |z2|, floor), count as zero.  Two zeros give gamma = 1.0 by
+    convention; a single zero gives None, because only a zero or infinite
+    ratio could fit and downstream column merging needs a finite nonzero
+    one.  Two nonzero entries are proportional iff |Im(z1 * conj(z2))| <=
+    PROPORTIONAL_TOL * m^2.
     """
     z1 = complex(z1)
     z2 = complex(z2)
@@ -108,13 +122,13 @@ def real_ratio(z1, z2, tol: float = 1e-9, floor: float = 0.0):
     m = max(a1, a2, floor)
     if m == 0.0:
         return 1.0
-    z1_zero = a1 <= tol * m
-    z2_zero = a2 <= tol * m
+    z1_zero = a1 <= PROPORTIONAL_TOL * m
+    z2_zero = a2 <= PROPORTIONAL_TOL * m
     if z1_zero and z2_zero:
         return 1.0
     if z1_zero or z2_zero:
         return None
     cross = z1 * z2.conjugate()
-    if abs(cross.imag) <= tol * m * m:
+    if abs(cross.imag) <= PROPORTIONAL_TOL * m * m:
         return cross.real / (a2 * a2)
     return None

@@ -46,7 +46,6 @@ from .channel import ChannelPair, Rng, normalize
 from .errors import InputError
 from .linalg import min_norm_least_squares
 
-DEFAULT_RANK_RTOL = 1e-10
 # A steering system counts as consistent when the least-squares residual is
 # below this, relative to ||b||.
 CONSISTENT_RTOL = 1e-8
@@ -101,21 +100,12 @@ def build_tc_system(pair: ChannelPair, z0: float = DEFAULT_Z0) -> LinearSystem:
     reads B_kk alpha_k + B_{k-1,k} alpha_{k-1} + B_{k,k+1} alpha_{k+1};
     the real stacking puts real parts on top of imaginary parts.
     """
-    n = pair.n
     alpha, beta = _tc_steering(pair, z0)
-    a1 = np.diag(alpha)
-    a2 = np.zeros((n, n - 1), dtype=complex)
-    for k in range(n - 1):
-        a2[k, k] = alpha[k + 1]
-        a2[k + 1, k] = alpha[k]
-    ac = np.hstack([a1, a2])
-    a = np.vstack([ac.real, ac.imag])
-    b = np.concatenate([beta.real, beta.imag])
-    return LinearSystem(a=a, b=b, alpha=alpha, n=n)
+    a, b = _stacked_system(alpha, beta, _tc_entries(pair.n))
+    return LinearSystem(a=a, b=b, alpha=alpha, n=pair.n)
 
 
-def optimize_tc(pair: ChannelPair, z0: float = DEFAULT_Z0,
-                rank_rtol: float = DEFAULT_RANK_RTOL) -> OptimizeResult:
+def optimize_tc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
     """Tridiagonal optimizer: O(n) recursion on the steering system.
 
     Falls back to minimum-norm least squares on the real-stacked system
@@ -123,23 +113,20 @@ def optimize_tc(pair: ChannelPair, z0: float = DEFAULT_Z0,
     CONSISTENT_RTOL (the adversarial set).
     """
     n = pair.n
+    entries = _tc_entries(n)
     solved = _solve_tridiagonal(*_tc_steering(pair, z0))
     if solved is None:
         system = build_tc_system(pair, z0)
-        sol = min_norm_least_squares(system.a, system.b, rank_rtol)
-        diag, coupling, residual = sol.x[:n], sol.x[n:], sol.residual_norm
-        consistent = residual <= CONSISTENT_RTOL * float(np.linalg.norm(system.b))
+        b, residual, rhs_norm = _least_squares_block(system.a, system.b, entries, n)
+        consistent = residual <= CONSISTENT_RTOL * rhs_norm
     else:
         diag, coupling, residual = solved
+        b = _symmetric_block(np.concatenate([diag, coupling]), entries, n)
         consistent = True
-    b = np.diag(diag)
-    k = np.arange(n - 1)
-    b[k, k + 1] = b[k + 1, k] = coupling
     return _finish(pair, SusceptanceMatrix(b), z0, upper_bound_full(pair), residual, consistent)
 
 
-def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0,
-                rank_rtol: float = DEFAULT_RANK_RTOL) -> OptimizeResult:
+def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0) -> OptimizeResult:
     """Group-connected optimizer: one steering system per group.
 
     Each group is normalized independently, which pins every group's
@@ -164,7 +151,7 @@ def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0,
         for g in np.flatnonzero(~solved):
             lo = starts[g]
             blocks[g], residuals[g], rhs_norms[g] = _solve_group_fallback(
-                pair.h_r[lo:lo + width], pair.h_t[lo:lo + width], z0, rank_rtol)
+                pair.h_r[lo:lo + width], pair.h_t[lo:lo + width], z0)
         b[idx[:, :, None], idx[:, None, :]] = blocks
         worst_residual = max(worst_residual, float(residuals.max()))
         scale = max(scale, float(rhs_norms.max()))
@@ -186,16 +173,15 @@ def optimize_sc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
     return _finish(pair, SusceptanceMatrix(np.diag(d)), z0, p_bar_arch, 0.0, True)
 
 
-def optimize(pair: ChannelPair, spec: ArchitectureSpec, z0: float = DEFAULT_Z0,
-             rank_rtol: float = DEFAULT_RANK_RTOL) -> OptimizeResult:
+def optimize(pair: ChannelPair, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> OptimizeResult:
     """Run the optimizer matching the architecture kind."""
     if spec.n != pair.n:
         raise InputError(f"architecture is for n = {spec.n}, channels have n = {pair.n}")
     if spec.kind == KIND_SINGLE:
         return optimize_sc(pair, z0)
     if spec.kind == KIND_TREE:
-        return optimize_tc(pair, z0, rank_rtol)
-    return optimize_gc(pair, spec.effective_cuts, z0, rank_rtol)
+        return optimize_tc(pair, z0)
+    return optimize_gc(pair, spec.effective_cuts, z0)
 
 
 @dataclass(frozen=True)
@@ -423,7 +409,7 @@ def _solve_symmetric_groups(hr, ht, z0: float):
     return blocks, residuals, rhs_norms, solved
 
 
-def _solve_group_fallback(hr, ht, z0: float, rank_rtol: float):
+def _solve_group_fallback(hr, ht, z0: float):
     """(block, residual norm, ||rhs||) of one group without the closed form.
 
     A dead group (zero channel on either side) contributes nothing for any
@@ -433,40 +419,67 @@ def _solve_group_fallback(hr, ht, z0: float, rank_rtol: float):
     least squares on its real-stacked system.
     """
     k = hr.size
-    block = np.zeros((k, k))
     nr = float(np.linalg.norm(hr))
     nt = float(np.linalg.norm(ht))
     if nr == 0.0 or nt == 0.0:
-        return block, 0.0, 0.0
+        return np.zeros((k, k)), 0.0, 0.0
     hrn = hr / nr
     htn = ht / nt
     if np.linalg.norm(hrn + htn) < _DEGENERATE_GROUP_TOL:
         return np.diag(_phase_align_susceptance(hr, ht, z0)), 0.0, 0.0
-    a, rhs, index_pairs = _group_system(hrn, htn, z0)
-    sol = min_norm_least_squares(a, rhs, rank_rtol)
-    for c, (i, j) in enumerate(index_pairs):
-        block[i, j] = block[j, i] = sol.x[c]
-    return block, sol.residual_norm, float(np.linalg.norm(rhs))
+    entries = _group_entries(k)
+    a, rhs = _stacked_system(*_steering(hrn, htn, z0), entries)
+    return _least_squares_block(a, rhs, entries, k)
 
 
-def _group_system(hr_n, ht_n, z0: float):
-    """Real-stacked steering system of one fully-coupled group.
+def _tc_entries(n: int):
+    """(rows, cols) of the free entries of a tridiagonal B, in unknown order.
 
-    Unknowns are the upper triangle of the group block: diagonal entries
-    first, then couplings (i, j) with i < j in row-major order.
+    Diagonal entries first, then the couplings (k, k + 1).
     """
-    k = hr_n.size
-    alpha, beta = _steering(hr_n, ht_n, z0)
-    index_pairs = [(i, i) for i in range(k)]
-    index_pairs += [(i, j) for i in range(k) for j in range(i + 1, k)]
-    m = np.zeros((k, len(index_pairs)), dtype=complex)
-    for c, (i, j) in enumerate(index_pairs):
-        m[i, c] += alpha[j]
-        if j != i:
-            m[j, c] += alpha[i]
-    a = np.vstack([m.real, m.imag])
-    rhs = np.concatenate([beta.real, beta.imag])
-    return a, rhs, index_pairs
+    k = np.arange(n)
+    return np.concatenate([k, k[:-1]]), np.concatenate([k, k[1:]])
+
+
+def _group_entries(width: int):
+    """(rows, cols) of the free entries of one fully-coupled group, in unknown order.
+
+    Diagonal entries first, then the couplings (i, j) with i < j in
+    row-major order.
+    """
+    k = np.arange(width)
+    upper_rows, upper_cols = np.triu_indices(width, 1)
+    return np.concatenate([k, upper_rows]), np.concatenate([k, upper_cols])
+
+
+def _stacked_system(alpha, beta, entries):
+    """Real-stacked B alpha = beta over the free entries (rows, cols) of B.
+
+    Unknown c is B_ij = B_ji for (i, j) = (rows[c], cols[c]); its column is
+    e_i alpha_j + e_j alpha_i, or e_i alpha_i on the diagonal.  Real parts
+    sit on top of imaginary parts.  Returns (A, rhs).
+    """
+    rows, cols = entries
+    unknowns = np.arange(rows.size)
+    m = np.zeros((alpha.size, rows.size), dtype=complex)
+    m[rows, unknowns] = alpha[cols]
+    m[cols, unknowns] = alpha[rows]
+    return np.vstack([m.real, m.imag]), np.concatenate([beta.real, beta.imag])
+
+
+def _least_squares_block(a, rhs, entries, size: int):
+    """(B, residual norm, ||rhs||) of the SVD fallback on a real-stacked system."""
+    sol = min_norm_least_squares(a, rhs)
+    return _symmetric_block(sol.x, entries, size), sol.residual_norm, float(np.linalg.norm(rhs))
+
+
+def _symmetric_block(values, entries, size: int) -> np.ndarray:
+    """size x size symmetric matrix with values at (rows, cols) and (cols, rows)."""
+    rows, cols = entries
+    block = np.zeros((size, size))
+    block[rows, cols] = values
+    block[cols, rows] = values
+    return block
 
 
 def _phase_align_susceptance(h_r, h_t, z0: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from bdris.adversarial import (
     is_tc_adversarial,
     is_tc_adversarial_bruteforce,
     matches_cut_set,
-    real_proportional,
     reduce_coupling,
 )
 from bdris.channel import ChannelPair, Rng, gen_los, gen_rayleigh, gen_tc_adversarial
@@ -26,15 +25,6 @@ PAPER_PAIR = ChannelPair(np.array([2j, 3 + 1j]), np.array([(3 + 1j) / 2, 1j]))
 GAMMA2_PAIR = ChannelPair(
     np.array([0.6j, 0.8]), np.array([0.64 - 0.6j, -0.48 + 0j])
 )
-
-
-def test_real_proportional():
-    assert real_proportional(0.0, 0.0) == (True, 1.0)
-    assert real_proportional(1.0, 0.0) == (False, None)
-    assert real_proportional(0.0, 1.0) == (False, None)
-    ok, gamma = real_proportional(2 + 2j, 1 + 1j)
-    assert ok and gamma == pytest.approx(2.0, rel=1e-14)
-    assert real_proportional(1 + 1j, 1 - 1j) == (False, None)
 
 
 def test_cut_set_paper_pair():

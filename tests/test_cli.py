@@ -1,12 +1,17 @@
 """End-to-end CLI tests driving main(argv) with temporary files."""
 
+import importlib
+import io
 import json
 
 import pytest
 
 from bdris import __version__
-from bdris.channel import read_channel_json
+from bdris.channel import read_channel_json, write_channel_json
 from bdris.cli import main
+from bdris.experiment import SCENARIOS, ExperimentConfig, run_experiment
+
+experiment = importlib.import_module("bdris.experiment")
 
 
 def run(capsys, *argv):
@@ -95,6 +100,50 @@ def test_gen_rejects_even_swap_extent(tmp_path, capsys):
                        "--q", "4", "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert "input error" in err
+
+
+def test_gen_rejects_zero_group_size(tmp_path, capsys):
+    # the same check simulate applies: the group size must divide n
+    code, _, err = run(capsys, "gen", "--scenario", "gc_favorable", "--n", "8",
+                       "--group-size", "0", "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "group size 0 must divide" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+GEN_CASES = [(scenario, ()) for scenario in SCENARIOS] + [
+    ("tc_adversarial", ("--q", "3")),
+    ("gc_favorable", ("--group-size", "4")),
+]
+
+
+@pytest.mark.parametrize("scenario,extra", GEN_CASES,
+                         ids=[" ".join((s, *e)) for s, e in GEN_CASES])
+def test_gen_redraws_a_simulate_trial(tmp_path, capsys, monkeypatch, scenario, extra):
+    """gen with a trial's scenario, n, seed and parameters writes that trial's pair."""
+    drawn = []
+    real = experiment.optimize
+
+    def recording(pair, spec, *args):
+        drawn.append(pair)
+        return real(pair, spec, *args)
+
+    monkeypatch.setattr(experiment, "optimize", recording)
+    options = dict(zip(extra[::2], extra[1::2]))
+    config = ExperimentConfig(
+        scenario=scenario, sizes=(4, 8), trials=2, archs=("sc",), seed=5,
+        q_override=int(options["--q"]) if "--q" in options else None,
+        group_size=int(options["--group-size"]) if "--group-size" in options else None)
+    records = run_experiment(config)
+    assert len(drawn) == len(records) == 4
+    for record, pair in zip(records, drawn):
+        out = tmp_path / f"{record.n}-{record.trial}.json"
+        code, _, _ = run(capsys, "gen", "--scenario", scenario, "--n", str(record.n),
+                         "--seed", str(record.seed), *extra, "--out", str(out))
+        assert code == 0
+        expected = io.StringIO()
+        write_channel_json(pair, expected)
+        assert out.read_text() == expected.getvalue()
 
 
 def test_simulate_writes_records_and_summary(tmp_path, capsys):

@@ -14,9 +14,12 @@ from bdris.architecture import (
     upper_bound_full,
     upper_bound_gc,
 )
-from bdris.channel import ChannelPair, Rng, gen_gc_favorable, gen_los, gen_rayleigh
+from bdris.channel import ChannelPair, Rng, gen_gc_favorable, gen_los, gen_rayleigh, normalize
 from bdris.errors import InputError
 from bdris.optimize import (
+    _group_entries,
+    _stacked_system,
+    _steering,
     brute_force_power_search,
     build_tc_system,
     optimize,
@@ -48,6 +51,58 @@ def test_build_tc_system_frozen():
     )
     assert np.allclose(sysm.a, a_expect, atol=1e-14)
     assert np.allclose(sysm.b, np.array([3.0, -3.0, -1.0, 1.0]) / S14, atol=1e-14)
+
+
+def test_group_system_frozen():
+    # one fully-coupled group of width 3 at z0 = 1: alpha = j (hr + ht),
+    # beta = ht - hr, unknowns B_00, B_11, B_22, B_01, B_02, B_12
+    s3 = np.sqrt(3.0)
+    hr = np.array([1.0, 1j, 1.0]) / s3
+    ht = np.array([1.0, -1.0, 1j]) / s3
+    entries = _group_entries(3)
+    assert [(int(i), int(j)) for i, j in zip(*entries)] == [
+        (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    a, rhs = _stacked_system(*_steering(hr, ht, 1.0), entries)
+    a_expect = (
+        np.array(
+            [
+                [0.0, 0.0, 0.0, -1.0, -1.0, 0.0],
+                [0.0, -1.0, 0.0, 0.0, 0.0, -1.0],
+                [0.0, 0.0, -1.0, 0.0, 0.0, -1.0],
+                [2.0, 0.0, 0.0, -1.0, 1.0, 0.0],
+                [0.0, -1.0, 0.0, 2.0, 0.0, 1.0],
+                [0.0, 0.0, 1.0, 0.0, 2.0, -1.0],
+            ]
+        )
+        / s3
+    )
+    assert np.allclose(a, a_expect, atol=1e-14)
+    assert np.allclose(rhs, np.array([0.0, -1.0, -1.0, 0.0, -1.0, 1.0]) / s3, atol=1e-14)
+
+
+def loop_stacked_system(alpha, beta, index_pairs):
+    """Column-by-column reference: column (i, j) is e_i alpha_j + e_j alpha_i."""
+    m = np.zeros((alpha.size, len(index_pairs)), dtype=complex)
+    for c, (i, j) in enumerate(index_pairs):
+        m[i, c] = alpha[j]
+        m[j, c] = alpha[i]
+    return np.vstack([m.real, m.imag]), np.concatenate([beta.real, beta.imag])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_system_matches_loop(n):
+    pair = gen_rayleigh(n, Rng(900 + n))
+    alpha, beta = _steering(normalize(pair.h_r), normalize(pair.h_t), 50.0)
+    diagonal = [(i, i) for i in range(n)]
+    group_pairs = diagonal + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    a, rhs = _stacked_system(alpha, beta, _group_entries(n))
+    a_ref, rhs_ref = loop_stacked_system(alpha, beta, group_pairs)
+    assert np.array_equal(a, a_ref) and np.array_equal(rhs, rhs_ref)
+    if n >= 2:
+        system = build_tc_system(pair, z0=50.0)
+        a_ref, rhs_ref = loop_stacked_system(
+            system.alpha, beta, diagonal + [(k, k + 1) for k in range(n - 1)])
+        assert np.array_equal(system.a, a_ref) and np.array_equal(system.b, rhs_ref)
 
 
 def test_tc_system_coupling_column_structure():

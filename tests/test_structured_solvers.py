@@ -25,11 +25,12 @@ from bdris.errors import InputError
 from bdris.linalg import min_norm_least_squares
 from bdris.optimize import (
     CONSISTENT_RTOL,
-    DEFAULT_RANK_RTOL,
     NEAR_SINGULAR_RTOL,
-    _group_system,
+    _group_entries,
     _phase_align_susceptance,
     _solve_tridiagonal,
+    _stacked_system,
+    _steering,
     build_tc_system,
     optimize,
     optimize_tc,
@@ -48,7 +49,7 @@ def svd_reference(pair, spec, z0=Z0):
     b = np.zeros((n, n))
     if spec.kind == KIND_TREE:
         system = build_tc_system(pair, z0)
-        sol = min_norm_least_squares(system.a, system.b, DEFAULT_RANK_RTOL)
+        sol = min_norm_least_squares(system.a, system.b)
         b[np.arange(n), np.arange(n)] = sol.x[:n]
         for k in range(n - 1):
             b[k, k + 1] = b[k + 1, k] = sol.x[n + k]
@@ -69,9 +70,10 @@ def svd_reference(pair, spec, z0=Z0):
             idx = np.arange(lo, hi)
             b[idx, idx] = _phase_align_susceptance(hr, ht, z0)
             continue
-        a, rhs, index_pairs = _group_system(hrn, htn, z0)
-        sol = min_norm_least_squares(a, rhs, DEFAULT_RANK_RTOL)
-        for c, (i, j) in enumerate(index_pairs):
+        entries = _group_entries(hi - lo)
+        a, rhs = _stacked_system(*_steering(hrn, htn, z0), entries)
+        sol = min_norm_least_squares(a, rhs)
+        for c, (i, j) in enumerate(zip(*entries)):
             b[lo + i, lo + j] = b[lo + j, lo + i] = sol.x[c]
         worst_residual = max(worst_residual, sol.residual_norm)
         scale = max(scale, float(np.linalg.norm(rhs)))

@@ -244,12 +244,12 @@ def read_channel_json(fp) -> ChannelPair:
     """Parse and validate the channel file format written by write_channel_json."""
     try:
         doc = json.load(fp)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax or encoding, deep nesting
         raise InputError(f"invalid channel JSON: {exc}") from exc
     if not isinstance(doc, dict) or not {"n", "h_r", "h_t"} <= set(doc):
         raise InputError('channel JSON must be an object with keys "n", "h_r", "h_t"')
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f'"n" must be a positive integer, got {n!r}')
     vecs = []
     for key in ("h_r", "h_t"):
@@ -261,7 +261,10 @@ def read_channel_json(fp) -> ChannelPair:
             if (not isinstance(item, list) or len(item) != 2
                     or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item)):
                 raise InputError(f'"{key}"[{i}] must be a [re, im] number pair')
-            vec[i] = complex(item[0], item[1])
+            try:
+                vec[i] = complex(item[0], item[1])
+            except OverflowError as exc:
+                raise InputError(f'"{key}"[{i}] is out of floating-point range') from exc
         vecs.append(vec)
     return ChannelPair(vecs[0], vecs[1])
 

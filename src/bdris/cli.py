@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .adversarial import BRUTE_FORCE_MAX_N, is_tc_adversarial, is_tc_adversarial_bruteforce
-from .architecture import parse_arch
+from .architecture import DEFAULT_Z0, parse_arch
 from .channel import Rng, read_channel_json, write_channel_json
 from .errors import InputError, NumericalFailure
 from .experiment import (
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--arch", default="sc,tc",
                      help="comma-separated architectures: sc, tc, fc, gc:k, gc:I=2,5")
     sim.add_argument("--seed", type=int, default=0, help="base seed for derived trial seeds")
-    sim.add_argument("--z0", type=float, default=50.0, help="reference impedance")
+    sim.add_argument("--z0", type=float, default=DEFAULT_Z0, help="reference impedance")
     sim.add_argument("--q", type=int, default=None,
                      help="swap extent for tc_adversarial (odd; default swaps all pairs)")
     sim.add_argument("--group-size", type=int, default=None,
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt = sub.add_parser("optimize", help="optimize one channel file for one architecture")
     opt.add_argument("--arch", required=True, help="sc, tc, fc, gc:k, or gc:I=2,5")
     opt.add_argument("--channels", required=True, help="channel JSON file")
-    opt.add_argument("--z0", type=float, default=50.0)
+    opt.add_argument("--z0", type=float, default=DEFAULT_Z0)
     opt.add_argument("--emit-matrices", action="store_true",
                      help="include susceptance and scattering matrices in the output")
 
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
 
 def _cmd_simulate(args) -> int:
     sizes = _parse_int_list(args.sizes, "--sizes")
-    archs = tuple(part.strip() for part in args.arch.split(",") if part.strip())
+    archs = _parse_arch_list(args.arch)
     config = ExperimentConfig(
         scenario=args.scenario,
         sizes=sizes,
@@ -151,7 +151,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    with open(args.channels) as fp:
+    with open(args.channels, encoding="utf-8") as fp:
         pair = read_channel_json(fp)
     spec = parse_arch(args.arch, pair.n)
     _echo_config({
@@ -178,7 +178,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    with open(args.channels) as fp:
+    with open(args.channels, encoding="utf-8") as fp:
         pair = read_channel_json(fp)
     _echo_config({
         "command": "membership", "channels": args.channels, "n": pair.n,
@@ -224,6 +224,23 @@ def _cmd_gen(args) -> int:
     with open(args.out, "w", newline="\n") as fp:
         write_channel_json(pair, fp)
     return EXIT_OK
+
+
+def _parse_arch_list(text: str) -> tuple[str, ...]:
+    """Architecture labels of a comma-separated list.
+
+    A bare integer continues the cut list of the gc:I= label before it, so
+    "sc,gc:I=2,5,tc" names three architectures.
+    """
+    archs: list[str] = []
+    for part in (p.strip() for p in text.split(",")):
+        if not part:
+            continue
+        if archs and archs[-1].startswith("gc:I=") and part.lstrip("+-").isdigit():
+            archs[-1] += "," + part
+        else:
+            archs.append(part)
+    return tuple(archs)
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:

@@ -10,13 +10,14 @@ and oracle commands, goes through SCENARIO_TABLE.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .adversarial import is_tc_adversarial
-from .architecture import ArchitectureSpec, parse_arch
+from .architecture import DEFAULT_Z0, ArchitectureSpec, parse_arch
 from .channel import (
     ChannelPair,
     GOLDEN_GAMMA,
@@ -65,9 +66,14 @@ class Scenario:
                 q: int | None = None) -> tuple[int | None, int | None]:
         """(group size, swap extent) of a draw at size n, defaults filled in.
 
-        Raises InputError when the parameters do not fit n; the parameters
-        a scenario does not use are ignored and come back as None.
+        Raises InputError when the parameters do not fit n, or when a
+        parameter is given that the scenario does not use; an unused
+        parameter comes back as None.
         """
+        if group_size is not None and not self.group_sizes:
+            raise InputError(f"{self.name} takes no group size, got {group_size}")
+        if q is not None and not self.swaps:
+            raise InputError(f"{self.name} takes no swap extent q, got {q}")
         if self.group_sizes:
             gs = self.group_sizes[0] if group_size is None else group_size
             if gs < 1 or n % gs:
@@ -138,7 +144,7 @@ class ExperimentConfig:
     trials: int = DEFAULT_TRIALS
     archs: tuple[str, ...] = ("sc", "tc")
     seed: int = 0
-    z0: float = 50.0
+    z0: float = DEFAULT_Z0
     q_override: int | None = None
     group_size: int | None = None
     check_membership: bool = False
@@ -270,26 +276,29 @@ def summarize(records) -> list[SummaryRow]:
 def write_records_csv(records, fp) -> None:
     """Records CSV with shortest round-trip floats; stable byte for byte.
 
-    The in_a column appears only when membership was recorded.
+    The in_a column appears only when membership was recorded.  A field
+    holding a comma (a gc:I= label with several cuts) is quoted, RFC 4180.
     """
     with_membership = any(r.in_a is not None for r in records)
+    out = csv.writer(fp, lineterminator="\n")
     fp.write(RECORD_HEADER + (",in_a" if with_membership else "") + "\n")
     for r in records:
         row = [r.scenario, str(r.n), r.arch, str(r.trial), str(r.seed), _fmt(r.p_r),
                _fmt(r.p_bar_full), _fmt(r.ratio_full), _fmt(r.residual_norm), _bool(r.consistent)]
         if with_membership:
             row.append("" if r.in_a is None else _bool(r.in_a))
-        fp.write(",".join(row) + "\n")
+        out.writerow(row)
 
 
 def write_summary_csv(rows, fp) -> None:
+    out = csv.writer(fp, lineterminator="\n")
     fp.write(SUMMARY_HEADER + "\n")
     for r in rows:
-        fp.write(",".join([
+        out.writerow([
             r.scenario, str(r.n), r.arch, str(r.trials), _fmt(r.mean_ratio),
             _fmt(r.std_ratio), _fmt(r.min_ratio), _fmt(r.max_ratio),
             _fmt(r.consistent_fraction),
-        ]) + "\n")
+        ])
 
 
 def _fmt(x: float) -> str:

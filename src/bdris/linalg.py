@@ -9,10 +9,11 @@ adversarial channels would square the condition number and blur the rank
 decision.
 
 The optimizers solve steering systems by structured methods first and call
-min_norm_least_squares only as their fallback: for a tc system or gc group
-whose structured solve meets a near-singular 2x2 determinant (at most
-optimize.NEAR_SINGULAR_RTOL of its Hadamard bound) or leaves a residual
-above optimize.CONSISTENT_RTOL.
+min_norm_least_squares only as their fallback: for a tc system or a regular
+gc group whose structured solve meets a near-singular 2x2 determinant (at
+most optimize.NEAR_SINGULAR_RTOL of its Hadamard bound) or leaves a
+residual above optimize.CONSISTENT_RTOL.  Dead, width-1 and degenerate gc
+groups are solved without it.
 """
 
 from __future__ import annotations

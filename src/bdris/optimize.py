@@ -7,8 +7,9 @@ is a linear condition B alpha = beta on the free entries of B.  Each
 pattern's system is solved by a structured method:
 
 - tridiagonal: an O(n) recursion, unique at full column rank;
-- group-connected and fully connected: the closed-form minimum-Frobenius
-  real symmetric solution per group, batched over groups of equal width.
+- group-connected and fully connected: one batched solve per group width
+  (_solve_groups), the closed-form minimum-Frobenius real symmetric
+  solution, with sc's phase alignment for width-1 and degenerate groups.
 
 Stacking real and imaginary parts turns any of these systems into an
 ordinary real least-squares problem, solved by SVD as the fallback.  The
@@ -133,8 +134,8 @@ def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0) -> OptimizeResu
     contribution to phase zero so they add coherently; under that
     normalization the per-group consistency scalar Im(alpha^H beta)
     vanishes identically and the group systems are generically solvable.
-    Groups of equal width are solved together in closed form; a group the
-    closed form does not take goes through _solve_group_fallback.
+    Groups of equal width are solved together by _solve_groups, which
+    picks each group's solver once.
     """
     _check_z0(z0)
     n = pair.n
@@ -146,12 +147,7 @@ def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0) -> OptimizeResu
     scale = 0.0
     for width, starts in starts_by_width.items():
         idx = np.array(starts)[:, None] + np.arange(width)
-        blocks, residuals, rhs_norms, solved = _solve_symmetric_groups(
-            pair.h_r[idx], pair.h_t[idx], z0)
-        for g in np.flatnonzero(~solved):
-            lo = starts[g]
-            blocks[g], residuals[g], rhs_norms[g] = _solve_group_fallback(
-                pair.h_r[lo:lo + width], pair.h_t[lo:lo + width], z0)
+        blocks, residuals, rhs_norms = _solve_groups(pair.h_r[idx], pair.h_t[idx], z0)
         b[idx[:, :, None], idx[:, None, :]] = blocks
         worst_residual = max(worst_residual, float(residuals.max()))
         scale = max(scale, float(rhs_norms.max()))
@@ -364,38 +360,47 @@ def _solve_tridiagonal(alpha, beta):
     return diag, coupling, residual
 
 
-def _solve_symmetric_groups(hr, ht, z0: float):
-    """Closed-form steering blocks for a stack of equal-width groups.
+def _solve_groups(hr, ht, z0: float):
+    """(blocks, residual norms, ||rhs||) of the steering systems of equal-width groups.
 
-    With X = [Re alpha, Im alpha] and Y = [Re beta, Im beta] of one group,
-    the minimum-Frobenius real symmetric B with B X = Y is
-    Y X+ + X+^T Y^T - X+^T X^T Y X+, X+ = (X^T X)^-1 X^T.  It exists exactly
-    when X^T Y is symmetric, which per-group normalization guarantees.
-
-    hr, ht have shape (groups, width).  Returns the blocks, the residual
-    norms ||B X - Y||, the norms ||Y||, and a mask of the groups solved: a
-    group is left unsolved (zero block) when it is dead or degenerate, its
-    Gram matrix X^T X is near-singular, or its residual fails
-    CONSISTENT_RTOL.
+    hr, ht have shape (groups, width).  Each group is classified once:
+    a dead group (zero channel on either side) contributes nothing for any
+    block and gets a zero block; a width-1 or degenerate group (hr_hat ~
+    -ht_hat, vanishing alpha) gets per-element phasing, sc's closed form,
+    which meets the group bound; both report zero residual and ||rhs||.
+    Any other group takes the minimum-Frobenius real symmetric B with
+    B X = Y, X = [Re alpha, Im alpha], Y = [Re beta, Im beta]: Y X+ +
+    X+^T Y^T - X+^T X^T Y X+, X+ = (X^T X)^-1 X^T, which exists exactly
+    when X^T Y is symmetric, as per-group normalization guarantees.  Only
+    a group whose Gram determinant is at most NEAR_SINGULAR_RTOL times the
+    product of its diagonal, or whose residual fails CONSISTENT_RTOL, goes
+    to minimum-norm least squares on its real-stacked system.
     """
     groups, width = hr.shape
     blocks = np.zeros((groups, width, width))
     residuals = np.zeros(groups)
     rhs_norms = np.zeros(groups)
-    solved = np.zeros(groups, dtype=bool)
     nr = np.linalg.norm(hr, axis=1)
     nt = np.linalg.norm(ht, axis=1)
     live = np.flatnonzero((nr > 0.0) & (nt > 0.0))
     hrn = hr[live] / nr[live, None]
     htn = ht[live] / nt[live, None]
+    phased = (width == 1) | (np.linalg.norm(hrn + htn, axis=1) < _DEGENERATE_GROUP_TOL)
+    if phased.any():
+        g = live[phased]
+        k = np.arange(width)
+        blocks[g[:, None], k, k] = _phase_align_susceptance(hr[g], ht[g], z0)
+        regular = ~phased
+        live, hrn, htn = live[regular], hrn[regular], htn[regular]
+    if not live.size:
+        return blocks, residuals, rhs_norms
     alpha, beta = _steering(hrn, htn, z0)
     x = np.stack([alpha.real, alpha.imag], axis=2)
     y = np.stack([beta.real, beta.imag], axis=2)
     gram = x.transpose(0, 2, 1) @ x
     g00, g01, g11 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
-    take = ((g00 * g11 - g01 * g01 > NEAR_SINGULAR_RTOL * g00 * g11)
-            & (np.linalg.norm(hrn + htn, axis=1) >= _DEGENERATE_GROUP_TOL))
-    live, gram, x, y = live[take], gram[take], x[take], y[take]
+    take = g00 * g11 - g01 * g01 > NEAR_SINGULAR_RTOL * g00 * g11
+    gram, x, y = gram[take], x[take], y[take]
     xt = x.transpose(0, 2, 1)
     pinv = np.linalg.solve(gram, xt)
     yp = y @ pinv
@@ -404,32 +409,19 @@ def _solve_symmetric_groups(hr, ht, z0: float):
     res = np.linalg.norm(bk @ x - y, axis=(1, 2))
     rhs = np.linalg.norm(y, axis=(1, 2))
     ok = res <= CONSISTENT_RTOL * rhs
-    live = live[ok]
-    blocks[live], residuals[live], rhs_norms[live], solved[live] = bk[ok], res[ok], rhs[ok], True
-    return blocks, residuals, rhs_norms, solved
-
-
-def _solve_group_fallback(hr, ht, z0: float):
-    """(block, residual norm, ||rhs||) of one group without the closed form.
-
-    A dead group (zero channel on either side) contributes nothing for any
-    block value and gets a zero block.  A degenerate group (hr_hat ~
-    -ht_hat, vanishing alpha) gets per-element phasing, which meets the
-    group bound in that case.  Any other group is solved by minimum-norm
-    least squares on its real-stacked system.
-    """
-    k = hr.size
-    nr = float(np.linalg.norm(hr))
-    nt = float(np.linalg.norm(ht))
-    if nr == 0.0 or nt == 0.0:
-        return np.zeros((k, k)), 0.0, 0.0
-    hrn = hr / nr
-    htn = ht / nt
-    if np.linalg.norm(hrn + htn) < _DEGENERATE_GROUP_TOL:
-        return np.diag(_phase_align_susceptance(hr, ht, z0)), 0.0, 0.0
-    entries = _group_entries(k)
-    a, rhs = _stacked_system(*_steering(hrn, htn, z0), entries)
-    return _least_squares_block(a, rhs, entries, k)
+    take[take] = ok  # now marks the groups the closed form solved
+    closed = live[take]
+    blocks[closed], residuals[closed], rhs_norms[closed] = bk[ok], res[ok], rhs[ok]
+    fallback = live[~take]
+    if fallback.size:
+        entries = _group_entries(width)
+    for g in fallback:
+        # the 1-D norm, not the batched one above (which may differ in the
+        # last bit), keeps this leg equal to the SVD solve of the group alone
+        system = _stacked_system(*_steering(hr[g] / np.linalg.norm(hr[g]),
+                                            ht[g] / np.linalg.norm(ht[g]), z0), entries)
+        blocks[g], residuals[g], rhs_norms[g] = _least_squares_block(*system, entries, width)
+    return blocks, residuals, rhs_norms
 
 
 def _tc_entries(n: int):

@@ -1,5 +1,14 @@
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # fixed examples and no example database, so every run draws the same cases
+    settings.register_profile("bdris", derandomize=True, database=None)
+    settings.load_profile("bdris")
+
 
 def pytest_configure(config):
     config._acceptance_lines = []

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving main(argv) with temporary files."""
 
+import csv
 import importlib
 import io
 import json
@@ -189,6 +190,52 @@ def test_simulate_threads_flag_stable_output(tmp_path, capsys):
         "--trials", "6", "--arch", "sc,gc:2", "--seed", "2",
         "--out", str(out8), "--threads", "8")
     assert out1.read_bytes() == out8.read_bytes()
+
+
+def test_simulate_multi_cut_label(tmp_path, capsys):
+    # a bare integer continues the gc:I= cut list before it; the label's
+    # comma is quoted in both CSVs
+    records_file = tmp_path / "records.csv"
+    summary_file = tmp_path / "summary.csv"
+    code, _, err = run(capsys, "simulate", "--scenario", "rayleigh", "--sizes", "8",
+                       "--trials", "2", "--arch", "sc,gc:I=2,5,tc", "--out", str(records_file),
+                       "--summary", str(summary_file))
+    assert code == 0
+    assert json.loads(err.splitlines()[0])["archs"] == ["sc", "gc:I=2,5", "tc"]
+    for path, rows in ((records_file, 6), (summary_file, 3)):
+        with open(path, newline="") as fp:
+            records = list(csv.DictReader(fp))
+        assert len(records) == rows
+        assert all(None not in row and None not in row.values() for row in records)
+        assert [row["arch"] for row in records[:3]] == ["sc", "gc:I=2,5", "tc"]
+    assert 'rayleigh,8,sc,0,' in records_file.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scenario", "rayleigh", "--sizes", "4", "--trials", "1", "--group-size", "0"),
+    ("gen", "--scenario", "gc_favorable", "--n", "8", "--q", "4"),
+], ids=["simulate-group-size", "gen-q"])
+def test_unused_scenario_parameter_is_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert "takes no" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    b'{"n": 1, "h_r": [[1' + b"0" * 400 + b', 0]], "h_t": [[1, 0]]}',
+    b'{"n": true, "h_r": [[1, 0]], "h_t": [[1, 0]]}',
+    b'{"n": 1, "h_r": [[1, 0]], "h_t": [[1, 0]], "note": "\xff\xfe"}',
+    b"[" * 100_000,
+], ids=["overflow", "bool-n", "not-utf8", "deep-nesting"])
+def test_optimize_malformed_channel_json(tmp_path, capsys, content):
+    channel_file = tmp_path / "pair.json"
+    channel_file.write_bytes(content)
+    code, out, err = run(capsys, "optimize", "--arch", "sc", "--channels", str(channel_file))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
 
 
 def test_simulate_bad_sizes_text(tmp_path, capsys):

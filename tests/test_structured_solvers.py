@@ -222,15 +222,41 @@ def test_degenerate_and_dead_groups(svd_calls):
 
 
 def test_gc1_and_single_element_surfaces(svd_calls):
+    # width-1 groups take sc's phase alignment, never the SVD
     pair = gen_rayleigh(6, Rng(91))
-    gc1 = assert_same_as_svd(pair, "gc:1")  # rank-one Gram: every group falls back
-    assert len(svd_calls) == 6
-    assert gc1.p_r == pytest.approx(optimize(pair, parse_arch("sc", 6), Z0).p_r, rel=1e-9)
+    gc1 = optimize(pair, parse_arch("gc:1", 6), Z0)
+    sc = optimize(pair, parse_arch("sc", 6), Z0)
+    assert np.array_equal(gc1.b_matrix.matrix, sc.b_matrix.matrix)
+    assert np.array_equal(gc1.theta.matrix, sc.theta.matrix)
+    assert (gc1.p_r, gc1.p_bar_arch, gc1.residual_norm, gc1.consistent) == (
+        sc.p_r, sc.p_bar_arch, 0.0, True)
+    b_ref, _, consistent_ref = svd_reference(pair, parse_arch("gc:1", 6))
+    assert consistent_ref
+    assert np.allclose(gc1.b_matrix.matrix, b_ref, rtol=1e-12, atol=0.0)
+    assert abs(gc1.ratio_full - reference_ratio(pair, b_ref)) <= 1e-12
     one = gen_rayleigh(1, Rng(92))
-    assert optimize(one, parse_arch("sc", 1), Z0).ratio_full == pytest.approx(1.0, abs=1e-9)
-    assert assert_same_as_svd(one, "fc").ratio_full == pytest.approx(1.0, abs=1e-9)
+    sc1 = optimize(one, parse_arch("sc", 1), Z0)
+    fc1 = optimize(one, parse_arch("fc", 1), Z0)
+    assert sc1.ratio_full == pytest.approx(1.0, abs=1e-9)
+    assert np.array_equal(fc1.b_matrix.matrix, sc1.b_matrix.matrix) and fc1.p_r == sc1.p_r
+    assert not svd_calls
     with pytest.raises(InputError):
         optimize_tc(one, Z0)
+
+
+def test_singleton_groups_inside_cut_list(svd_calls):
+    # singletons at 0, 4 and 5 beside a width-3 group take the phase
+    # alignment, the width-3 group the closed form
+    pair = gen_rayleigh(6, Rng(93))
+    spec = parse_arch("gc:I=1,4,5", 6)
+    res = optimize(pair, spec, Z0)
+    assert not svd_calls
+    sc = optimize(pair, parse_arch("sc", 6), Z0).b_matrix.matrix
+    b = res.b_matrix.matrix
+    assert [b[k, k] for k in (0, 4, 5)] == [sc[k, k] for k in (0, 4, 5)]
+    assert res.consistent and res.b_matrix.conforms(spec)
+    b_ref, _, _ = svd_reference(pair, spec)
+    assert abs(res.ratio_full - reference_ratio(pair, b_ref)) <= 1e-12
 
 
 def test_fc_large_surface_completes():

@@ -19,7 +19,7 @@ import numpy as np
 from .architecture import partition_from_cuts
 from .channel import ChannelPair, normalize
 from .errors import InputError
-from .linalg import ZERO_FLOOR_REL, real_ratio
+from .linalg import ZERO_FLOOR_REL, proportional_adjacencies
 
 # Finite group norm ratios differing by more than this (relative to the
 # largest) are mismatched.
@@ -55,24 +55,8 @@ class MembershipReport:
 
 
 def cut_set(pair: ChannelPair):
-    """1-based adjacencies of hr_hat + ht_hat with real-proportional neighbors.
-
-    Proportionality is real_ratio's test, with an entry of s = hr_hat +
-    ht_hat counting as zero against ZERO_FLOOR_REL * max|s|.
-
-    Returns (cuts, gammas) with gammas[k] the real ratio of entry cuts[k]
-    over entry cuts[k] + 1.
-    """
-    s = normalize(pair.h_r) + normalize(pair.h_t)
-    floor = ZERO_FLOOR_REL * float(np.max(np.abs(s)))
-    cuts = []
-    gammas = []
-    for i in range(pair.n - 1):
-        gamma = real_ratio(s[i], s[i + 1], floor)
-        if gamma is not None:
-            cuts.append(i + 1)
-            gammas.append(float(gamma))
-    return tuple(cuts), tuple(gammas)
+    """(cuts, gammas) of linalg.proportional_adjacencies on hr_hat + ht_hat."""
+    return proportional_adjacencies(normalize(pair.h_r) + normalize(pair.h_t))
 
 
 def is_gc_adversarial(pair: ChannelPair, cuts):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalFailure
-from .linalg import ZERO_FLOOR_REL, real_ratio
+from .linalg import proportional_adjacencies
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64 constants: stream increment and the two avalanche multipliers.
@@ -82,7 +82,10 @@ class Rng:
 
 @dataclass(frozen=True)
 class ChannelPair:
-    """Receiver-side and transmitter-side channel vectors of equal length."""
+    """Receiver-side and transmitter-side channel vectors of equal length.
+
+    The full bound ||h_r||^2 ||h_t||^2 must be a finite positive float.
+    """
 
     h_r: np.ndarray
     h_t: np.ndarray
@@ -98,8 +101,13 @@ class ChannelPair:
             raise InputError("channel vectors must be nonempty")
         if not (np.all(np.isfinite(h_r)) and np.all(np.isfinite(h_t))):
             raise InputError("channel entries must be finite")
-        if np.linalg.norm(h_r) == 0.0 or np.linalg.norm(h_t) == 0.0:
-            raise InputError("channel vectors must have positive norm")
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+            nr = float(np.linalg.norm(h_r))
+            nt = float(np.linalg.norm(h_t))
+        # Python floats overflow to inf and underflow to 0 without a warning.
+        if not 0.0 < (nr * nr) * (nt * nt) < float("inf"):
+            raise InputError("channel vectors must have positive norm and a finite "
+                             "||h_r||^2 ||h_t||^2 (channel scale out of range)")
 
     @property
     def n(self) -> int:
@@ -194,7 +202,7 @@ def gen_tc_adversarial(n: int, rng: Rng, q: int | None = None) -> ChannelPair:
     rejected while any swapped pair has nearly equal moduli or any
     unplanted adjacency is accidentally proportional, so accepted draws
     have cut set exactly {1, 3, ..., q}: the adjacency test is
-    adversarial.cut_set's, real_ratio with the same ZERO_FLOOR_REL floor.
+    linalg.proportional_adjacencies, the one adversarial.cut_set uses.
     """
     _check_size(n)
     if n < 2:
@@ -204,7 +212,7 @@ def gen_tc_adversarial(n: int, rng: Rng, q: int | None = None) -> ChannelPair:
     if q % 2 == 0 or not 1 <= q <= n - 1:
         raise InputError(f"swap extent q = {q} must be odd and within [1, {n - 1}]")
     swapped = [(i, i + 1) for i in range(0, q, 2)]
-    planted = {i for i, _ in swapped}
+    planted = {i + 1 for i, _ in swapped}  # 1-based, like the cuts
     for _ in range(_SWAP_MAX_RETRIES):
         h = rng.complex_gaussian(n)
         nrm = np.linalg.norm(h)
@@ -217,13 +225,8 @@ def gen_tc_adversarial(n: int, rng: Rng, q: int | None = None) -> ChannelPair:
         t = h.copy()
         for i, j in swapped:
             t[i], t[j] = h[j], h[i]
-        s = h + t
-        floor = ZERO_FLOOR_REL * float(np.max(np.abs(s)))
-        accidental = any(
-            i not in planted and real_ratio(s[i], s[i + 1], floor) is not None
-            for i in range(n - 1)
-        )
-        if accidental:
+        cuts, _ = proportional_adjacencies(h + t)
+        if not planted.issuperset(cuts):  # an accidental proportional adjacency
             continue
         return ChannelPair(h, t)
     raise NumericalFailure(f"no acceptable swap-construction draw in {_SWAP_MAX_RETRIES} attempts")

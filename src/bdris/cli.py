@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--check-membership", action="store_true",
                      help="record adversarial-set membership per trial")
     sim.add_argument("--threads", type=int, default=None,
-                     help="worker cap (default $BDRIS_THREADS or 1); never changes output bytes")
+                     help="worker cap (default $BDRIS_THREADS or 1); trials run in order on one thread")
 
     opt = sub.add_parser("optimize", help="optimize one channel file for one architecture")
     opt.add_argument("--arch", required=True, help="sc, tc, fc, gc:k, or gc:I=2,5")

@@ -2,14 +2,13 @@
 
 One channel pair is drawn per (size, trial) from its own derived seed and
 shared by every architecture, so architectures see paired trials.  Records
-are a pure function of the configuration: execution order and worker count
-never change a byte of the output.  Every draw, here and in the CLI's gen
-and oracle commands, goes through SCENARIO_TABLE.
+are a pure function of the configuration, whatever the worker cap.  Every
+draw, here and in the CLI's gen and oracle commands, goes through
+SCENARIO_TABLE.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 from dataclasses import dataclass
 from typing import Callable
@@ -207,48 +206,42 @@ def resolve_archs(config: ExperimentConfig) -> dict[int, list[ArchitectureSpec]]
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
-    """All trial records, ordered by (size, trial, arch position)."""
+    """All trial records, ordered by (size, trial, arch position).
+
+    threads is a worker cap; trials run in order on the calling thread,
+    which meets every cap.
+    """
     archs_by_size = resolve_archs(config)
     scenario = SCENARIO_TABLE[config.scenario]
     if threads < 1:
         raise InputError(f"thread count must be positive, got {threads}")
-    tasks = [(si, n, t) for si, n in enumerate(config.sizes) for t in range(config.trials)]
-
-    def run_task(task) -> list[TrialRecord]:
-        si, n, t = task
-        seed = mix64(config.seed, si, t)
-        rng = Rng(seed)
-        pair, label = scenario.draw(n, rng, config.group_size, config.q_override)
-        in_a = is_tc_adversarial(pair).in_a if config.check_membership else None
-        records = []
-        for arch_label, spec in zip(config.archs, archs_by_size[n]):
-            try:
-                result = optimize(pair, spec, config.z0)
-            except NumericalFailure as exc:
-                raise NumericalFailure(
-                    f"{exc} (scenario {label}, n = {n}, trial {t}, arch {arch_label}, "
-                    f"trial seed {seed})") from exc
-            records.append(TrialRecord(
-                scenario=label,
-                n=n,
-                arch=arch_label,
-                trial=t,
-                seed=seed,
-                p_r=result.p_r,
-                p_bar_full=result.p_bar_full,
-                ratio_full=result.ratio_full,
-                residual_norm=result.residual_norm,
-                consistent=result.consistent,
-                in_a=in_a,
-            ))
-        return records
-
-    if threads == 1:
-        chunks = [run_task(task) for task in tasks]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run_task, tasks))
-    return [record for chunk in chunks for record in chunk]
+    records = []
+    for si, n in enumerate(config.sizes):
+        for t in range(config.trials):
+            seed = mix64(config.seed, si, t)
+            pair, label = scenario.draw(n, Rng(seed), config.group_size, config.q_override)
+            in_a = is_tc_adversarial(pair).in_a if config.check_membership else None
+            for arch_label, spec in zip(config.archs, archs_by_size[n]):
+                try:
+                    result = optimize(pair, spec, config.z0)
+                except NumericalFailure as exc:
+                    raise NumericalFailure(
+                        f"{exc} (scenario {label}, n = {n}, trial {t}, arch {arch_label}, "
+                        f"trial seed {seed})") from exc
+                records.append(TrialRecord(
+                    scenario=label,
+                    n=n,
+                    arch=arch_label,
+                    trial=t,
+                    seed=seed,
+                    p_r=result.p_r,
+                    p_bar_full=result.p_bar_full,
+                    ratio_full=result.ratio_full,
+                    residual_norm=result.residual_norm,
+                    consistent=result.consistent,
+                    in_a=in_a,
+                ))
+    return records
 
 
 def summarize(records) -> list[SummaryRow]:

@@ -133,3 +133,21 @@ def real_ratio(z1, z2, floor: float = 0.0):
     if abs(cross.imag) <= PROPORTIONAL_TOL * m * m:
         return cross.real / (a2 * a2)
     return None
+
+
+def proportional_adjacencies(s) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """1-based adjacencies of s whose neighbors are real-proportional.
+
+    Proportionality is real_ratio's test, with an entry counting as zero
+    against ZERO_FLOOR_REL * max|s|.  Returns (cuts, gammas) with gammas[k]
+    the real ratio of entry cuts[k] over entry cuts[k] + 1.
+    """
+    floor = ZERO_FLOOR_REL * float(np.max(np.abs(s)))
+    cuts = []
+    gammas = []
+    for i in range(len(s) - 1):
+        gamma = real_ratio(s[i], s[i + 1], floor)
+        if gamma is not None:
+            cuts.append(i + 1)
+            gammas.append(float(gamma))
+    return tuple(cuts), tuple(gammas)

@@ -92,6 +92,18 @@ def test_channel_pair_validation():
         ChannelPair(np.ones((2, 2), complex), np.ones((2, 2), complex))
 
 
+@pytest.mark.parametrize("scale_r, scale_t", [
+    (1e80, 1e80),     # ||h_r||^2 ||h_t||^2 overflows
+    (1e160, 1.0),     # ||h_r|| itself overflows
+    (1e-90, 1e-90),   # the product underflows to zero
+    (1e-160, 1e-160),
+])
+def test_channel_pair_rejects_out_of_range_scale(scale_r, scale_t):
+    pair = gen_rayleigh(8, Rng(3))
+    with pytest.raises(InputError, match="channel scale out of range"):
+        ChannelPair(scale_r * pair.h_r, scale_t * pair.h_t)
+
+
 def test_normalize():
     v = np.array([3.0 + 4j, 0.0])
     n1 = normalize(v)

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from bdris import __version__
-from bdris.channel import read_channel_json, write_channel_json
+from bdris.channel import Rng, gen_rayleigh, read_channel_json, write_channel_json
 from bdris.cli import main
 from bdris.experiment import SCENARIOS, ExperimentConfig, run_experiment
 
@@ -238,12 +238,35 @@ def test_optimize_malformed_channel_json(tmp_path, capsys, content):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e-90])
+@pytest.mark.parametrize("arch", ["sc", "gc:2", "tc", "fc"])
+def test_optimize_out_of_range_channel_scale(tmp_path, capsys, scale, arch):
+    """||h_r||^2 ||h_t||^2 overflowing or underflowing exits 2, not inf, NaN or a crash."""
+    pair = gen_rayleigh(8, Rng(5))
+    channel_file = tmp_path / "pair.json"
+    with open(channel_file, "w") as fp:
+        json.dump({"n": 8, "h_r": [[z.real, z.imag] for z in scale * pair.h_r],
+                   "h_t": [[z.real, z.imag] for z in scale * pair.h_t]}, fp)
+    code, out, err = run(capsys, "optimize", "--arch", arch, "--channels", str(channel_file))
+    assert code == 2
+    assert out == ""
+    assert "scale out of range" in err
+
+
 def test_simulate_bad_sizes_text(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--scenario", "rayleigh",
                        "--sizes", "2,x", "--trials", "1",
                        "--out", str(tmp_path / "r.csv"))
     assert code == 2
     assert "--sizes" in err
+
+
+def test_simulate_zero_threads_is_input_error(tmp_path, capsys):
+    code, _, err = run(capsys, "simulate", "--scenario", "rayleigh",
+                       "--sizes", "2", "--trials", "1", "--threads", "0",
+                       "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert "thread count must be positive" in err
 
 
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):

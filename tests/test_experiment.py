@@ -2,6 +2,7 @@
 
 import importlib
 import io
+import threading
 
 import numpy as np
 import pytest
@@ -202,6 +203,23 @@ def test_thread_count_validated():
     config = ExperimentConfig(scenario="rayleigh", sizes=(2,), trials=1)
     with pytest.raises(InputError):
         run_experiment(config, threads=0)
+
+
+def test_trials_run_on_the_calling_thread(monkeypatch):
+    """A worker cap above 1 still runs every trial in order on the caller's thread."""
+    experiment = importlib.import_module("bdris.experiment")
+    real = experiment.optimize
+    threads_seen = []
+
+    def recording(pair, spec, *args):
+        threads_seen.append(threading.get_ident())
+        return real(pair, spec, *args)
+
+    monkeypatch.setattr(experiment, "optimize", recording)
+    config = ExperimentConfig(scenario="rayleigh", sizes=(4, 6), trials=5,
+                              archs=("sc", "tc"), seed=1)
+    run_experiment(config, threads=8)
+    assert threads_seen == [threading.get_ident()] * 2 * 5 * 2
 
 
 def fail_on_pair(monkeypatch, target, arch_kind):

@@ -1,4 +1,5 @@
-"""Property tests: the group solve on random partitions, channel JSON parsing.
+"""Property tests: the group solve on random partitions, scale and z0
+invariance of the received-power ratio, channel JSON parsing.
 
 Each surface drawn for the group solve mixes the group kinds the solver
 tells apart: width-1 groups, dead groups (zero channel on one side),
@@ -14,9 +15,10 @@ import json
 import numpy as np
 import pytest
 
-from bdris.architecture import ArchitectureSpec, KIND_GROUP, parse_arch, received_power
+from bdris.architecture import DEFAULT_Z0, ArchitectureSpec, KIND_GROUP, parse_arch, received_power
 from bdris.channel import ChannelPair, Rng, gen_rayleigh, read_channel_json
 from bdris.errors import InputError
+from bdris.experiment import oracle_mix
 from bdris.linalg import min_norm_least_squares
 from bdris.optimize import optimize
 
@@ -98,6 +100,31 @@ def test_gc1_equals_sc_bit_for_bit(n, seed, z0, zeroed):
     assert np.array_equal(gc1.theta.matrix, sc.theta.matrix)
     assert (gc1.p_r, gc1.p_bar_arch, gc1.ratio_full, gc1.residual_norm, gc1.consistent) == (
         sc.p_r, sc.p_bar_arch, sc.ratio_full, sc.residual_norm, sc.consistent)
+
+
+@st.composite
+def invariance_cases(draw):
+    """(pair, spec) of an oracle-mix scenario at n = 1-16 and sc, tc, fc or a random gc."""
+    n = draw(st.integers(1, 16))
+    scenario, group_size = draw(st.sampled_from(oracle_mix(n)))
+    pair, _ = scenario.draw(n, Rng(draw(st.integers(0, 2 ** 64 - 1))), group_size)
+    # tc's steering system needs n >= 2
+    label = draw(st.sampled_from(("sc", "tc", "fc", "gc") if n > 1 else ("sc", "fc", "gc")))
+    if label != "gc":
+        return pair, parse_arch(label, n)
+    cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    return pair, ArchitectureSpec(KIND_GROUP, n, tuple(sorted(cuts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(invariance_cases(), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(-2.0, 4.0))
+def test_ratio_invariant_to_channel_scale_and_z0(case, log_a, log_b, log_z0):
+    """ratio_full depends on neither the channel scales nor the reference impedance."""
+    pair, spec = case
+    ref = optimize(pair, spec, DEFAULT_Z0).ratio_full
+    scaled = ChannelPair(10.0 ** log_a * pair.h_r, 10.0 ** log_b * pair.h_t)
+    assert optimize(scaled, spec, 10.0 ** log_z0).ratio_full == pytest.approx(ref, rel=1e-9)
+
 
 NUMBERS = st.floats() | st.integers(min_value=-10 ** 400, max_value=10 ** 400)
 JSON_VALUES = st.recursive(

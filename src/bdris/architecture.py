@@ -10,6 +10,7 @@ upper bounds are plain inner products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -163,63 +164,138 @@ class SusceptanceMatrix:
         return not np.any(self.matrix[~pattern_mask(spec)])
 
 
-@dataclass(frozen=True)
-class ScatteringMatrix:
-    """Symmetric unitary scattering matrix, defect-checked at construction.
+def block_bounds(b) -> np.ndarray:
+    """Bounds 0 = k_0 < ... < k_g = n of the finest contiguous block partition of B.
 
-    The check is linalg.check_symmetric_unitary, against the absolute
-    THETA_SYM_TOL and THETA_UNITARY_TOL.
+    Block i spans elements k_i to k_{i+1} - 1.  A block may end before
+    element k only if every B[i, j] with i < k <= j is zero.  When no
+    superdiagonal entry is zero that never happens, and the O(n) test
+    settles it (tc and fc); otherwise one scan of each row's reach, its
+    last nonzero column, finds every end at once.
+    """
+    b = np.asarray(b)
+    n = b.shape[0]
+    if b.diagonal(1).all():
+        return np.array([0, n])
+    nonzero = b != 0
+    np.fill_diagonal(nonzero, True)
+    reach = np.maximum.accumulate(n - 1 - np.argmax(nonzero[:, ::-1], axis=1))
+    return np.concatenate([[0], np.flatnonzero(reach == np.arange(n)) + 1])
+
+
+def blocks_by_width(bounds) -> list[tuple[int, np.ndarray]]:
+    """(w, index) per block width w of the partition with these bounds.
+
+    index has shape (g, w): row i holds the elements of the i-th block of
+    width w.  Widths come in increasing order.
+    """
+    if len(bounds) == 2:
+        # one block (tc, fc): without this, optimize() at n = 64 ran 2-3%
+        # slower for tc and 3-5% for fc
+        return [(int(bounds[1]), np.arange(bounds[1])[None])]
+    bounds = np.asarray(bounds)
+    starts, widths = bounds[:-1], bounds[1:] - bounds[:-1]
+    return [(w, starts[widths == w][:, None] + np.arange(w)) for w in sorted(set(widths.tolist()))]
+
+
+@dataclass(frozen=True, eq=False)
+class ScatteringMatrix:
+    """Symmetric unitary scattering matrix, held as its diagonal blocks.
+
+    blocks holds one (index, theta) entry per block width w: index has
+    shape (g, w), the elements of each of g blocks, and theta shape (g, w,
+    w), their blocks of Theta; a lone block may drop the leading axis.
+    Every entry outside the blocks is zero.  Each width's stack is checked
+    at construction by linalg.check_symmetric_unitary, against the absolute
+    THETA_SYM_TOL and THETA_UNITARY_TOL, and the defects are the maximum
+    over widths.  As the off-block entries of Theta and Theta^H Theta are
+    exactly zero, that is the check of the dense matrix, which .matrix
+    builds only on request.
     """
 
-    matrix: np.ndarray
-    symmetry_defect: float = field(default=0.0, compare=False)
-    unitarity_defect: float = field(default=0.0, compare=False)
+    n: int
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    symmetry_defect: float = field(default=0.0, init=False)
+    unitarity_defect: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        check = check_symmetric_unitary(m)
-        object.__setattr__(self, "symmetry_defect", check.symmetry_defect)
-        object.__setattr__(self, "unitarity_defect", check.unitarity_defect)
-        if not check.ok:
+        if sum(index.size for index, _ in self.blocks) != self.n:
+            raise InputError(f"blocks do not cover the {self.n} elements")
+        checks = [check_symmetric_unitary(theta) for _, theta in self.blocks]
+        sym = max(c.symmetry_defect for c in checks)
+        uni = max(c.unitarity_defect for c in checks)
+        object.__setattr__(self, "symmetry_defect", sym)
+        object.__setattr__(self, "unitarity_defect", uni)
+        if not all(c.ok for c in checks):
             raise NumericalFailure(
-                "scattering matrix check failed: symmetry defect "
-                f"{check.symmetry_defect:.3e}, unitarity defect {check.unitarity_defect:.3e}"
+                f"scattering matrix check failed: symmetry defect {sym:.3e}, unitarity defect {uni:.3e}"
             )
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n Theta."""
+        m = np.zeros((self.n, self.n), dtype=complex)
+        for index, theta in self.blocks:
+            m[index[..., :, None], index[..., None, :]] = theta
+        return m
+
+    def apply(self, x) -> np.ndarray:
+        """Theta x, block by block."""
+        y = np.empty(self.n, dtype=complex)
+        for index, theta in self.blocks:
+            # a batched matmul, not an elementwise product, even at width 1:
+            # it rounds like the BLAS gemv of the dense Theta, which keeps sc
+            # bit for bit
+            y[index] = (theta @ x[index][..., None])[..., 0]
+        return y
 
 
 def scattering_from_susceptance(b, z0: float = DEFAULT_Z0) -> ScatteringMatrix:
-    """Lossless scattering matrix of a susceptance matrix.
+    """Lossless scattering matrix of a susceptance matrix, block by block.
 
-    A diagonal B (the single-connected pattern) maps entry by entry,
-    Theta_ii = (1 - j z0 B_ii) / (1 + j z0 B_ii).  Any other B is the dense
-    solve of (I + j z0 B) Theta = (I - j z0 B) rather than an explicit
-    inverse, for conditioning.  For real symmetric B the result is
-    symmetric unitary up to rounding; the construction check enforces that.
+    Theta = (I + j z0 B)^-1 (I - j z0 B) is block-diagonal on the blocks of
+    block_bounds(B), so each is mapped on its own, grouped by width: a
+    width-1 block entry by entry, Theta_ii = (1 - j z0 B_ii) / (1 + j z0
+    B_ii) (all of sc); wider blocks by one batched solve of (I + j z0 B)
+    Theta = (I - j z0 B) per width rather than an explicit inverse, for
+    conditioning, and the one width-n block of tc and fc by the same solve
+    on the 2-D B.  No dense n x n Theta is formed unless .matrix is read.
+    For real symmetric B the result is symmetric unitary up to rounding;
+    the construction check enforces that.
     """
     if not isinstance(b, SusceptanceMatrix):
         b = SusceptanceMatrix(b)
     _check_z0(z0)
-    diag = np.diagonal(b.matrix)
-    if np.count_nonzero(b.matrix) == np.count_nonzero(diag):
-        jd = 1j * z0 * diag
-        return ScatteringMatrix(np.diag((1 - jd) / (1 + jd)))
-    jb = 1j * z0 * b.matrix
-    eye = np.eye(b.n)
-    try:
-        theta = np.linalg.solve(eye + jb, eye - jb)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"scattering solve failed: {exc}") from exc
-    return ScatteringMatrix(theta)
+    n = b.n
+    blocks = []
+    for width, index in blocks_by_width(block_bounds(b.matrix)):
+        if width == 1:
+            jd = 1j * z0 * b.matrix[index[:, 0], index[:, 0]]
+            theta = ((1 - jd) / (1 + jd))[:, None, None]
+        else:
+            if width == n:
+                # 2-D, with no gather: as a stack of one, optimize() ran
+                # 4-7% slower for tc at n = 16-256 and fc at n = 64
+                index, sub = index[0], b.matrix
+            else:
+                sub = b.matrix[index[:, :, None], index[:, None, :]]
+            jb = 1j * z0 * sub
+            eye = np.eye(width)
+            try:
+                theta = np.linalg.solve(eye + jb, eye - jb)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure(f"scattering solve failed: {exc}") from exc
+        blocks.append((index, theta))
+    return ScatteringMatrix(n, tuple(blocks))
 
 
 def received_power(pair, theta) -> float:
     """|h_r^H Theta h_t|^2 at unit transmit power with no direct link."""
-    m = theta.matrix if isinstance(theta, ScatteringMatrix) else np.asarray(theta, dtype=complex)
+    if isinstance(theta, ScatteringMatrix):
+        if theta.n != pair.n:
+            raise InputError(f"scattering matrix size {theta.n} does not match n = {pair.n}")
+        return float(abs(np.vdot(pair.h_r, theta.apply(pair.h_t))) ** 2)
+    m = np.asarray(theta, dtype=complex)
     if m.shape != (pair.n, pair.n):
         raise InputError(f"scattering matrix shape {m.shape} does not match n = {pair.n}")
     return float(abs(np.vdot(pair.h_r, m @ pair.h_t)) ** 2)

@@ -93,16 +93,17 @@ class MatrixCheck:
 
 
 def check_symmetric_unitary(m) -> MatrixCheck:
-    """Measure how far a square matrix is from being symmetric and unitary.
+    """Measure how far a square matrix, or a stack of them, is from symmetric unitary.
 
-    Defects are max-abs-entry norms of M - M^T and M^H M - I; the check
-    passes when they are within THETA_SYM_TOL and THETA_UNITARY_TOL.
+    Defects are max-abs-entry norms of M - M^T and M^H M - I, the maximum
+    over the stack for shape (g, w, w); the check passes when they are
+    within THETA_SYM_TOL and THETA_UNITARY_TOL.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise InputError(f"expected a nonempty square matrix, got shape {m.shape}")
-    sym = float(np.max(np.abs(m - m.T)))
-    uni = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise InputError(f"expected a nonempty square matrix or stack of them, got shape {m.shape}")
+    sym = float(np.max(np.abs(m - m.swapaxes(-1, -2))))
+    uni = float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))))
     return MatrixCheck(sym, uni, sym <= THETA_SYM_TOL and uni <= THETA_UNITARY_TOL)
 
 

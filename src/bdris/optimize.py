@@ -24,7 +24,7 @@ well-behaved heuristic when it is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .architecture import (
     ScatteringMatrix,
     SusceptanceMatrix,
     _check_z0,
+    blocks_by_width,
     partition_from_cuts,
     pattern_mask,
     received_power,
@@ -111,7 +112,8 @@ def optimize_tc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
 
     Falls back to minimum-norm least squares on the real-stacked system
     when a 2x2 block is near-singular or the recursion's residual fails
-    CONSISTENT_RTOL (the adversarial set).
+    CONSISTENT_RTOL (the adversarial set).  Needs n >= 2; optimize()
+    serves n = 1 by sc's closed form.
     """
     n = pair.n
     entries = _tc_entries(n)
@@ -139,14 +141,10 @@ def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0) -> OptimizeResu
     """
     _check_z0(z0)
     n = pair.n
-    starts_by_width: dict[int, list[int]] = {}
-    for lo, hi in partition_from_cuts(cuts, n):
-        starts_by_width.setdefault(hi - lo, []).append(lo)
     b = np.zeros((n, n))
     worst_residual = 0.0
     scale = 0.0
-    for width, starts in starts_by_width.items():
-        idx = np.array(starts)[:, None] + np.arange(width)
+    for _, idx in blocks_by_width([lo for lo, _ in partition_from_cuts(cuts, n)] + [n]):
         blocks, residuals, rhs_norms = _solve_groups(pair.h_r[idx], pair.h_t[idx], z0)
         b[idx[:, :, None], idx[:, None, :]] = blocks
         worst_residual = max(worst_residual, float(residuals.max()))
@@ -170,12 +168,18 @@ def optimize_sc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
 
 
 def optimize(pair: ChannelPair, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> OptimizeResult:
-    """Run the optimizer matching the architecture kind."""
+    """Run the optimizer matching the architecture kind.
+
+    A one-element tridiagonal surface is the single-connected one, so tc at
+    n = 1 takes sc's closed form, whose bound equals the full one there.
+    """
     if spec.n != pair.n:
         raise InputError(f"architecture is for n = {spec.n}, channels have n = {pair.n}")
     if spec.kind == KIND_SINGLE:
         return optimize_sc(pair, z0)
     if spec.kind == KIND_TREE:
+        if pair.n == 1:
+            return replace(optimize_sc(pair, z0), p_bar_arch=upper_bound_full(pair))
         return optimize_tc(pair, z0)
     return optimize_gc(pair, spec.effective_cuts, z0)
 

@@ -9,7 +9,9 @@ from bdris.architecture import (
     KIND_GROUP,
     KIND_SINGLE,
     KIND_TREE,
+    ScatteringMatrix,
     SusceptanceMatrix,
+    block_bounds,
     parse_arch,
     partition_from_cuts,
     pattern_mask,
@@ -19,7 +21,7 @@ from bdris.architecture import (
     upper_bound_gc,
 )
 from bdris.channel import ChannelPair, Rng, gen_rayleigh
-from bdris.errors import InputError
+from bdris.errors import InputError, NumericalFailure
 
 PAPER_PAIR = ChannelPair(np.array([2j, 3 + 1j]), np.array([(3 + 1j) / 2, 1j]))
 
@@ -141,6 +143,63 @@ def test_cayley_map_defects_random_patterns():
                 theta = scattering_from_susceptance(b, z0=z0)
                 assert theta.symmetry_defect <= 1e-10
                 assert theta.unitarity_defect <= 1e-9
+
+
+def finest_block_bounds(b):
+    """The finest contiguous block partition, straight from its definition."""
+    n = b.shape[0]
+    return [0] + [k for k in range(1, n) if not np.any(b[:k, k:])] + [n]
+
+
+def patterned_b(mask, rng):
+    b = np.where(mask, rng.standard_normal(mask.shape), 0.0)
+    return b + b.T
+
+
+def test_block_bounds_match_brute_force():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 6, 12):
+        labels = ["sc", "tc", "fc"] + [f"gc:{k}" for k in range(1, n + 1) if n % k == 0]
+        if n > 2:
+            labels.append(f"gc:I=1,{n - 1}")
+        for label in labels:
+            mask = pattern_mask(parse_arch(label, n))
+            for _ in range(5):
+                b = patterned_b(mask, rng)
+                assert block_bounds(b).tolist() == finest_block_bounds(b), label
+    # dead and zero groups split into singletons
+    b = patterned_b(pattern_mask(parse_arch("gc:3", 9)), rng)
+    b[3:6, 3:6] = 0.0
+    b[6:9, 6:9] = np.diag(np.diagonal(b)[6:9])
+    assert block_bounds(b).tolist() == finest_block_bounds(b) == [0, 3, 4, 5, 6, 7, 8, 9]
+    # one exactly-zero tc coupling cuts the chain in two
+    b = patterned_b(pattern_mask(parse_arch("tc", 7)), rng)
+    b[3, 4] = b[4, 3] = 0.0
+    assert block_bounds(b).tolist() == finest_block_bounds(b) == [0, 4, 7]
+    # a coupling reaching past a zero superdiagonal entry keeps the block whole
+    b[1, 5] = b[5, 1] = 1.0
+    assert block_bounds(b).tolist() == finest_block_bounds(b) == [0, 7]
+    # the all-zero matrix, and n = 1 and n = 2
+    assert block_bounds(np.zeros((5, 5))).tolist() == [0, 1, 2, 3, 4, 5]
+    assert block_bounds(np.zeros((1, 1))).tolist() == [0, 1]
+    assert block_bounds(np.array([[1.0]])).tolist() == [0, 1]
+    assert block_bounds(np.array([[1.0, 0.0], [0.0, 2.0]])).tolist() == [0, 1, 2]
+    assert block_bounds(np.array([[0.0, 1.0], [1.0, 0.0]])).tolist() == [0, 2]
+
+
+def test_scattering_matrix_rejects_a_corrupted_block():
+    index = np.array([[0, 1], [2, 3]])
+    rotation = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    theta = ScatteringMatrix(4, ((index, np.stack([rotation, rotation])),))
+    assert theta.symmetry_defect == 0.0
+    assert theta.unitarity_defect <= 1e-15
+    assert np.array_equal(theta.matrix[:2, 2:], np.zeros((2, 2)))
+    corrupted = rotation.copy()
+    corrupted[0, 1] += 1e-6
+    with pytest.raises(NumericalFailure):
+        ScatteringMatrix(4, ((index, np.stack([rotation, corrupted])),))
+    with pytest.raises(InputError):
+        ScatteringMatrix(5, ((index, np.stack([rotation, rotation])),))
 
 
 def test_cayley_rejects_bad_input():

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from bdris import __version__
@@ -77,6 +78,26 @@ def test_optimize_emit_matrices(tmp_path, capsys):
     assert doc["b_matrix"][0][1] == 0.0
     theta00 = doc["theta"][0][0]
     assert isinstance(theta00, list) and len(theta00) == 2
+
+
+def test_optimize_emit_matrices_group_blocks(tmp_path, capsys):
+    # gc:2's Theta is emitted dense: the solve of the whole surface, with
+    # exact zeros outside its 2 x 2 blocks
+    channel_file = tmp_path / "pair.json"
+    run(capsys, "gen", "--scenario", "rayleigh", "--n", "6", "--seed", "4",
+        "--out", str(channel_file))
+    code, out, _ = run(capsys, "optimize", "--arch", "gc:2", "--channels",
+                       str(channel_file), "--emit-matrices")
+    assert code == 0
+    doc = json.loads(out)
+    b = np.array(doc["b_matrix"])
+    theta = np.array([[complex(*v) for v in row] for row in doc["theta"]])
+    jb = 1j * doc["z0"] * b
+    dense = np.linalg.solve(np.eye(6) + jb, np.eye(6) - jb)
+    assert np.max(np.abs(theta - dense)) <= 1e-14
+    in_block = np.arange(6)[:, None] // 2 == np.arange(6)[None, :] // 2
+    assert np.all(theta[~in_block] == 0.0)
+    assert np.all(theta[in_block] != 0.0)
 
 
 def test_optimize_bad_arch_label(tmp_path, capsys):
@@ -167,6 +188,20 @@ def test_simulate_writes_records_and_summary(tmp_path, capsys):
     assert summary[0].startswith("scenario,n,arch,trials")
     assert len(summary) == 1 + 2 * 2
     assert all(line.split(",")[3] == "4" for line in summary[1:])
+
+
+def test_simulate_tc_on_one_element(tmp_path, capsys):
+    # a one-element tridiagonal surface is the single-connected one
+    records_file = tmp_path / "records.csv"
+    code, _, _ = run(capsys, "simulate", "--scenario", "rayleigh", "--sizes", "1,2",
+                     "--trials", "2", "--arch", "sc,tc", "--out", str(records_file))
+    assert code == 0
+    rows = list(csv.DictReader(records_file.open()))
+    assert len(rows) == 8
+    ones = [row for row in rows if row["n"] == "1"]
+    for sc, tc in zip(ones[::2], ones[1::2]):
+        assert (sc["arch"], tc["arch"]) == ("sc", "tc")
+        assert sc["p_r"] == tc["p_r"] and sc["ratio_full"] == tc["ratio_full"]
 
 
 def test_simulate_check_membership_column(tmp_path, capsys):

@@ -101,6 +101,29 @@ def test_check_symmetric_unitary():
     assert not check_symmetric_unitary(2.0 * np.eye(2, dtype=complex)).ok
 
 
+def test_check_symmetric_unitary_stack():
+    # a stack is checked block by block and reports the worst block
+    rotation = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    stack = np.stack([rotation, np.eye(2, dtype=complex), rotation.T])
+    good = check_symmetric_unitary(stack)
+    assert good.ok
+    assert good.symmetry_defect == 0.0
+    assert good.unitarity_defect <= 1e-15
+    stack[1, 0, 1] = 1e-6
+    bad = check_symmetric_unitary(stack)
+    assert not bad.ok
+    assert bad.symmetry_defect == pytest.approx(1e-6)
+    assert bad.unitarity_defect == pytest.approx(1e-6)
+    # the stack's defects are the maximum of its blocks' own
+    singles = [check_symmetric_unitary(block) for block in stack]
+    assert bad.symmetry_defect == max(c.symmetry_defect for c in singles)
+    assert bad.unitarity_defect == max(c.unitarity_defect for c in singles)
+    with pytest.raises(InputError):
+        check_symmetric_unitary(np.ones((2, 2, 3), dtype=complex))
+    with pytest.raises(InputError):
+        check_symmetric_unitary(np.ones((0, 2, 2), dtype=complex))
+
+
 def test_real_ratio_cases():
     assert real_ratio(0.0, 0.0) == 1.0
     assert real_ratio(1.0, 0.0) is None

@@ -1,5 +1,7 @@
 """Tests for the per-architecture optimizers and the brute-force search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from bdris.architecture import (
     KIND_GROUP,
     KIND_SINGLE,
     KIND_TREE,
+    parse_arch,
     pattern_mask,
     received_power,
     upper_bound_full,
@@ -203,6 +206,35 @@ def test_optimize_dispatch():
         assert res.p_r <= res.p_bar_full * (1 + 1e-10)
     with pytest.raises(InputError):
         optimize(PAPER_PAIR, ArchitectureSpec(KIND_SINGLE, 3), z0=50.0)
+
+
+def test_tc_on_one_element_is_sc():
+    pair = gen_rayleigh(1, Rng(94))
+    tc = optimize(pair, ArchitectureSpec(KIND_TREE, 1), z0=50.0)
+    sc = optimize(pair, ArchitectureSpec(KIND_SINGLE, 1), z0=50.0)
+    assert np.array_equal(tc.b_matrix.matrix, sc.b_matrix.matrix)
+    assert (tc.p_r, tc.ratio_full, tc.residual_norm, tc.consistent) == (
+        sc.p_r, sc.ratio_full, 0.0, True)
+    assert tc.p_bar_arch == upper_bound_full(pair)
+    assert tc.p_bar_arch == pytest.approx(sc.p_bar_arch, rel=1e-15)
+
+
+@pytest.mark.parametrize("label", ["sc", "gc:4"])
+def test_block_patterns_build_no_dense_theta(label):
+    # the one n x n array of a block pattern's optimize() is the real B it
+    # returns (8 MB at n = 1024); a dense complex Theta would add 16 MB
+    n = 1024
+    pair = gen_rayleigh(n, Rng(95))
+    spec = parse_arch(label, n)
+    optimize(pair, spec, z0=50.0)
+    tracemalloc.start()
+    try:
+        res = optimize(pair, spec, z0=50.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= res.b_matrix.matrix.nbytes + 4 * 2 ** 20
+    assert "matrix" not in vars(res.theta)
 
 
 def test_z0_invariance():

@@ -15,9 +15,19 @@ import json
 import numpy as np
 import pytest
 
-from bdris.architecture import DEFAULT_Z0, ArchitectureSpec, KIND_GROUP, parse_arch, received_power
+from bdris.architecture import (
+    DEFAULT_Z0,
+    KIND_GROUP,
+    KIND_TREE,
+    ArchitectureSpec,
+    ScatteringMatrix,
+    parse_arch,
+    pattern_mask,
+    received_power,
+    scattering_from_susceptance,
+)
 from bdris.channel import ChannelPair, Rng, gen_rayleigh, read_channel_json
-from bdris.errors import InputError
+from bdris.errors import InputError, NumericalFailure
 from bdris.experiment import oracle_mix
 from bdris.linalg import min_norm_least_squares
 from bdris.optimize import optimize
@@ -108,8 +118,7 @@ def invariance_cases(draw):
     n = draw(st.integers(1, 16))
     scenario, group_size = draw(st.sampled_from(oracle_mix(n)))
     pair, _ = scenario.draw(n, Rng(draw(st.integers(0, 2 ** 64 - 1))), group_size)
-    # tc's steering system needs n >= 2
-    label = draw(st.sampled_from(("sc", "tc", "fc", "gc") if n > 1 else ("sc", "fc", "gc")))
+    label = draw(st.sampled_from(("sc", "tc", "fc", "gc")))
     if label != "gc":
         return pair, parse_arch(label, n)
     cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
@@ -124,6 +133,56 @@ def test_ratio_invariant_to_channel_scale_and_z0(case, log_a, log_b, log_z0):
     ref = optimize(pair, spec, DEFAULT_Z0).ratio_full
     scaled = ChannelPair(10.0 ** log_a * pair.h_r, 10.0 ** log_b * pair.h_t)
     assert optimize(scaled, spec, 10.0 ** log_z0).ratio_full == pytest.approx(ref, rel=1e-9)
+
+
+@st.composite
+def patterned_susceptances(draw):
+    """(B, spec, z0, pair) of a random sc, tc, fc or gc pattern, z0 |B_ij| up to 1e3, some entries 0."""
+    n = draw(st.integers(1, 16))
+    label = draw(st.sampled_from(("sc", "tc", "fc", "gc")))
+    if label == "gc":
+        cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        spec = ArchitectureSpec(KIND_GROUP, n, tuple(sorted(cuts)))
+    else:
+        spec = parse_arch(label, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z0 = draw(st.sampled_from(Z0S))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    values = rng.uniform(-1.0, 1.0, (n, n)) * scale / z0
+    values[rng.uniform(size=(n, n)) < draw(st.sampled_from((0.0, 0.2, 0.6)))] = 0.0
+    b = np.triu(np.where(pattern_mask(spec), values, 0.0))
+    b = b + np.triu(b, 1).T
+    return b, spec, z0, gen_rayleigh(n, Rng(draw(st.integers(0, 2 ** 64 - 1))))
+
+
+def _checked(build):
+    try:
+        return build()
+    except NumericalFailure:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterned_susceptances())
+def test_blocked_cayley_matches_dense_solve(case):
+    """The blocked Theta and its power are the dense solve's, up to rounding.
+
+    Outside a block pattern Theta is exactly zero.
+    """
+    b, spec, z0, pair = case
+    n = b.shape[0]
+    jb = 1j * z0 * b
+    dense = np.linalg.solve(np.eye(n) + jb, np.eye(n) - jb)
+    blocked = _checked(lambda: scattering_from_susceptance(b, z0))
+    whole = _checked(lambda: ScatteringMatrix(n, ((np.arange(n)[None], dense[None]),)))
+    assert (blocked is None) == (whole is None)
+    if blocked is None:
+        return
+    assert np.max(np.abs(blocked.matrix - dense)) <= 1e-12 * np.max(np.abs(dense))
+    if spec.kind != KIND_TREE:
+        assert not np.any(blocked.matrix[~pattern_mask(spec)])
+    p_dense = abs(np.vdot(pair.h_r, dense @ pair.h_t)) ** 2
+    assert abs(received_power(pair, blocked) - p_dense) <= 1e-12 * p_dense
 
 
 NUMBERS = st.floats() | st.integers(min_value=-10 ** 400, max_value=10 ** 400)

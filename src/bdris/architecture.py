@@ -139,78 +139,86 @@ def pattern_mask(spec: ArchitectureSpec) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
-class SusceptanceMatrix:
-    """Real symmetric susceptance values; symmetry is exact, not approximate."""
+def groups_by_width(cuts, n: int) -> list[np.ndarray]:
+    """Element index of the cut partition's groups, one (g, w) array per width w.
 
-    matrix: np.ndarray
+    Row i of a width's array holds the elements of its i-th group of that
+    width.  Widths come in increasing order.
+    """
+    spans = np.array(partition_from_cuts(cuts, n))
+    starts, widths = spans[:, 0], spans[:, 1] - spans[:, 0]
+    return [starts[widths == w][:, None] + np.arange(w) for w in sorted(set(widths.tolist()))]
+
+
+def _dense(n: int, blocks, dtype) -> np.ndarray:
+    """The n x n matrix with these (index, values) diagonal blocks, zero elsewhere."""
+    m = np.zeros((n, n), dtype=dtype)
+    for index, values in blocks:
+        m[index[..., :, None], index[..., None, :]] = values
+    return m
+
+
+@dataclass(frozen=True, eq=False)
+class SusceptanceMatrix:
+    """Real symmetric susceptance matrix B, held as its diagonal blocks.
+
+    blocks is a tuple of (index, values) entries, one per block width w:
+    index has shape (g, w), the elements of each of g blocks, and values
+    shape (g, w, w), their blocks of B.  The architecture decides the
+    layout: optimize_sc hands over one width-1 stack and optimize_gc its
+    groups, while a dense matrix given alone (anything but a tuple) is one
+    block of width n, kept 2-D with index of shape (n,).  Every entry
+    outside the blocks is zero, so each block being finite and exactly
+    symmetric is the check of the dense B, which .matrix builds only on
+    request.
+    """
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    n: int = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise InputError(f"susceptance matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InputError("susceptance entries must be finite")
-        if not np.array_equal(m, m.T):
-            raise InputError("susceptance matrix must be exactly symmetric")
+        blocks = self.blocks
+        if not isinstance(blocks, tuple):
+            m = np.asarray(blocks, dtype=float)
+            blocks = ((np.arange(m.shape[0] if m.ndim else 0), m),)
+        checked = []
+        for index, values in blocks:
+            values = np.asarray(values, dtype=float)
+            if values.shape != index.shape + index.shape[-1:]:
+                raise InputError(f"susceptance blocks must be square, got shape {values.shape}")
+            if not np.isfinite(values).all():
+                raise InputError("susceptance entries must be finite")
+            if not np.array_equal(values, values.swapaxes(-1, -2)):
+                raise InputError("susceptance matrix must be exactly symmetric")
+            checked.append((index, values))
+        n = sum(index.size for index, _ in checked)
+        if n == 0:
+            raise InputError("susceptance matrix must be nonempty")
+        object.__setattr__(self, "blocks", tuple(checked))
+        object.__setattr__(self, "n", n)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n B."""
+        return _dense(self.n, self.blocks, float)
 
     def conforms(self, spec: ArchitectureSpec) -> bool:
         """True when every entry outside the architecture pattern is zero."""
         return not np.any(self.matrix[~pattern_mask(spec)])
 
 
-def block_bounds(b) -> np.ndarray:
-    """Bounds 0 = k_0 < ... < k_g = n of the finest contiguous block partition of B.
-
-    Block i spans elements k_i to k_{i+1} - 1.  A block may end before
-    element k only if every B[i, j] with i < k <= j is zero.  When no
-    superdiagonal entry is zero that never happens, and the O(n) test
-    settles it (tc and fc); otherwise one scan of each row's reach, its
-    last nonzero column, finds every end at once.
-    """
-    b = np.asarray(b)
-    n = b.shape[0]
-    if b.diagonal(1).all():
-        return np.array([0, n])
-    nonzero = b != 0
-    np.fill_diagonal(nonzero, True)
-    reach = np.maximum.accumulate(n - 1 - np.argmax(nonzero[:, ::-1], axis=1))
-    return np.concatenate([[0], np.flatnonzero(reach == np.arange(n)) + 1])
-
-
-def blocks_by_width(bounds) -> list[tuple[int, np.ndarray]]:
-    """(w, index) per block width w of the partition with these bounds.
-
-    index has shape (g, w): row i holds the elements of the i-th block of
-    width w.  Widths come in increasing order.
-    """
-    if len(bounds) == 2:
-        # one block (tc, fc): without this, optimize() at n = 64 ran 2-3%
-        # slower for tc and 3-5% for fc
-        return [(int(bounds[1]), np.arange(bounds[1])[None])]
-    bounds = np.asarray(bounds)
-    starts, widths = bounds[:-1], bounds[1:] - bounds[:-1]
-    return [(w, starts[widths == w][:, None] + np.arange(w)) for w in sorted(set(widths.tolist()))]
-
-
 @dataclass(frozen=True, eq=False)
 class ScatteringMatrix:
     """Symmetric unitary scattering matrix, held as its diagonal blocks.
 
-    blocks holds one (index, theta) entry per block width w: index has
-    shape (g, w), the elements of each of g blocks, and theta shape (g, w,
-    w), their blocks of Theta; a lone block may drop the leading axis.
-    Every entry outside the blocks is zero.  Each width's stack is checked
-    at construction by linalg.check_symmetric_unitary, against the absolute
-    THETA_SYM_TOL and THETA_UNITARY_TOL, and the defects are the maximum
-    over widths.  As the off-block entries of Theta and Theta^H Theta are
-    exactly zero, that is the check of the dense matrix, which .matrix
-    builds only on request.
+    blocks holds one (index, theta) entry per block width, in the layout of
+    the SusceptanceMatrix it was mapped from, a lone block without its
+    leading axis.  Every entry outside the blocks is zero.  Each width's
+    stack is checked at construction by linalg.check_symmetric_unitary,
+    against the absolute THETA_SYM_TOL and THETA_UNITARY_TOL, and the
+    defects are the maximum over widths.  As the off-block entries of Theta
+    and Theta^H Theta are exactly zero, that is the check of the dense
+    matrix, which .matrix builds only on request.
     """
 
     n: int
@@ -234,10 +242,7 @@ class ScatteringMatrix:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense n x n Theta."""
-        m = np.zeros((self.n, self.n), dtype=complex)
-        for index, theta in self.blocks:
-            m[index[..., :, None], index[..., None, :]] = theta
-        return m
+        return _dense(self.n, self.blocks, complex)
 
     def apply(self, x) -> np.ndarray:
         """Theta x, block by block."""
@@ -253,40 +258,32 @@ class ScatteringMatrix:
 def scattering_from_susceptance(b, z0: float = DEFAULT_Z0) -> ScatteringMatrix:
     """Lossless scattering matrix of a susceptance matrix, block by block.
 
-    Theta = (I + j z0 B)^-1 (I - j z0 B) is block-diagonal on the blocks of
-    block_bounds(B), so each is mapped on its own, grouped by width: a
-    width-1 block entry by entry, Theta_ii = (1 - j z0 B_ii) / (1 + j z0
-    B_ii) (all of sc); wider blocks by one batched solve of (I + j z0 B)
-    Theta = (I - j z0 B) per width rather than an explicit inverse, for
-    conditioning, and the one width-n block of tc and fc by the same solve
-    on the 2-D B.  No dense n x n Theta is formed unless .matrix is read.
-    For real symmetric B the result is symmetric unitary up to rounding;
-    the construction check enforces that.
+    Theta = (I + j z0 B)^-1 (I - j z0 B) is block-diagonal on B's blocks, so
+    each of b.blocks is mapped on its own, in B's layout: a width-1 stack
+    entry by entry, Theta_ii = (1 - j z0 B_ii) / (1 + j z0 B_ii) (all of
+    sc); each wider stack, or the one 2-D block of a dense B, by one batched
+    solve of (I + j z0 B) Theta = (I - j z0 B) rather than an explicit
+    inverse, for conditioning.  No dense n x n Theta is formed unless
+    .matrix is read.  For real symmetric B the result is symmetric unitary
+    up to rounding; the construction check enforces that.
     """
     if not isinstance(b, SusceptanceMatrix):
         b = SusceptanceMatrix(b)
     _check_z0(z0)
-    n = b.n
     blocks = []
-    for width, index in blocks_by_width(block_bounds(b.matrix)):
+    for index, values in b.blocks:
+        jb = 1j * z0 * values
+        width = index.shape[-1]
         if width == 1:
-            jd = 1j * z0 * b.matrix[index[:, 0], index[:, 0]]
-            theta = ((1 - jd) / (1 + jd))[:, None, None]
+            theta = (1 - jb) / (1 + jb)
         else:
-            if width == n:
-                # 2-D, with no gather: as a stack of one, optimize() ran
-                # 4-7% slower for tc at n = 16-256 and fc at n = 64
-                index, sub = index[0], b.matrix
-            else:
-                sub = b.matrix[index[:, :, None], index[:, None, :]]
-            jb = 1j * z0 * sub
             eye = np.eye(width)
             try:
                 theta = np.linalg.solve(eye + jb, eye - jb)
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailure(f"scattering solve failed: {exc}") from exc
         blocks.append((index, theta))
-    return ScatteringMatrix(n, tuple(blocks))
+    return ScatteringMatrix(b.n, tuple(blocks))
 
 
 def received_power(pair, theta) -> float:

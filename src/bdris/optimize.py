@@ -36,8 +36,7 @@ from .architecture import (
     ScatteringMatrix,
     SusceptanceMatrix,
     _check_z0,
-    blocks_by_width,
-    partition_from_cuts,
+    groups_by_width,
     pattern_mask,
     received_power,
     scattering_from_susceptance,
@@ -137,20 +136,20 @@ def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0) -> OptimizeResu
     normalization the per-group consistency scalar Im(alpha^H beta)
     vanishes identically and the group systems are generically solvable.
     Groups of equal width are solved together by _solve_groups, which
-    picks each group's solver once.
+    picks each group's solver once, and B holds each width's stack of group
+    blocks as it comes, with no dense n x n B.
     """
     _check_z0(z0)
-    n = pair.n
-    b = np.zeros((n, n))
+    blocks = []
     worst_residual = 0.0
     scale = 0.0
-    for _, idx in blocks_by_width([lo for lo, _ in partition_from_cuts(cuts, n)] + [n]):
-        blocks, residuals, rhs_norms = _solve_groups(pair.h_r[idx], pair.h_t[idx], z0)
-        b[idx[:, :, None], idx[:, None, :]] = blocks
+    for idx in groups_by_width(cuts, pair.n):
+        values, residuals, rhs_norms = _solve_groups(pair.h_r[idx], pair.h_t[idx], z0)
+        blocks.append((idx, values))
         worst_residual = max(worst_residual, float(residuals.max()))
         scale = max(scale, float(rhs_norms.max()))
     consistent = worst_residual <= CONSISTENT_RTOL * scale if scale > 0.0 else True
-    return _finish(pair, SusceptanceMatrix(b), z0, upper_bound_gc(pair, cuts),
+    return _finish(pair, SusceptanceMatrix(tuple(blocks)), z0, upper_bound_gc(pair, cuts),
                    worst_residual, consistent)
 
 
@@ -159,12 +158,14 @@ def optimize_sc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
 
     Element i gets scattering phase arg(h_r,i) - arg(h_t,i), so every term
     of the received sum lands on the positive real axis and the diagonal
-    bound (sum_i |h_r,i| |h_t,i|)^2 is met up to the phase clamp.
+    bound (sum_i |h_r,i| |h_t,i|)^2 is met up to the phase clamp.  B holds
+    the diagonal as one stack of width-1 blocks.
     """
     _check_z0(z0)
     d = _phase_align_susceptance(pair.h_r, pair.h_t, z0)
     p_bar_arch = float(np.sum(np.abs(pair.h_r) * np.abs(pair.h_t)) ** 2)
-    return _finish(pair, SusceptanceMatrix(np.diag(d)), z0, p_bar_arch, 0.0, True)
+    b = SusceptanceMatrix(((np.arange(pair.n)[:, None], d[:, None, None]),))
+    return _finish(pair, b, z0, p_bar_arch, 0.0, True)
 
 
 def optimize(pair: ChannelPair, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> OptimizeResult:

@@ -11,7 +11,6 @@ from bdris.architecture import (
     KIND_TREE,
     ScatteringMatrix,
     SusceptanceMatrix,
-    block_bounds,
     parse_arch,
     partition_from_cuts,
     pattern_mask,
@@ -96,6 +95,24 @@ def test_susceptance_matrix_checks():
         SusceptanceMatrix(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]]))
     with pytest.raises(InputError):
         SusceptanceMatrix(np.array([[np.inf]]))
+    # in block form each block is checked, with the same exact semantics
+    index = np.array([[0, 1], [2, 3]])
+    good = np.array([[1.0, 2.0], [2.0, 3.0]])
+    blocked = SusceptanceMatrix(((index, np.stack([good, 2.0 * good])),))
+    assert blocked.n == 4 and "matrix" not in vars(blocked)
+    assert np.array_equal(blocked.matrix[:2, :2], good) and not np.any(blocked.matrix[:2, 2:])
+    assert blocked.conforms(parse_arch("gc:2", 4))
+    assert not blocked.conforms(parse_arch("sc", 4))
+    skewed = good.copy()
+    skewed[0, 1] += 1e-12
+    with pytest.raises(InputError):
+        SusceptanceMatrix(((index, np.stack([good, skewed])),))
+    with pytest.raises(InputError):
+        SusceptanceMatrix(((index, np.stack([good, np.full((2, 2), np.nan)])),))
+    with pytest.raises(InputError):
+        SusceptanceMatrix(((index, good),))
+    with pytest.raises(InputError):
+        SusceptanceMatrix(np.ones((2, 3)))
 
 
 def test_cayley_map_frozen_values():
@@ -116,12 +133,29 @@ def test_cayley_map_diagonal_matches_dense_solve():
     rng = np.random.default_rng(21)
     d = rng.standard_normal(64) * 10.0 ** rng.uniform(-8, 8, 64)
     d[::7] = 0.0
+    b = SusceptanceMatrix(((np.arange(64)[:, None], d[:, None, None]),))
     for z0 in (1.0, 50.0):
-        theta = scattering_from_susceptance(np.diag(d), z0=z0).matrix
+        theta = scattering_from_susceptance(b, z0=z0).matrix
         jb = 1j * z0 * np.diag(d)
         dense = np.linalg.solve(np.eye(64) + jb, np.eye(64) - jb)
         assert not np.any(theta - np.diag(np.diagonal(theta)))
         assert np.max(np.abs(theta - dense)) <= 1e-15
+
+
+def test_dense_susceptance_is_one_dense_solve():
+    # a dense B given alone is one block, whatever its zeros: gc:2 values
+    # with one dead group, and a diagonal, map by the plain dense solve
+    rng = np.random.default_rng(22)
+    gc = np.where(pattern_mask(parse_arch("gc:2", 6)), rng.standard_normal((6, 6)), 0.0)
+    gc = gc + gc.T
+    gc[2:4, 2:4] = 0.0
+    for b in (gc, np.diag(rng.standard_normal(5))):
+        n = b.shape[0]
+        assert len(SusceptanceMatrix(b).blocks) == 1
+        for z0 in (1.0, 50.0):
+            jb = 1j * z0 * b
+            dense = np.linalg.solve(np.eye(n) + jb, np.eye(n) - jb)
+            assert np.array_equal(scattering_from_susceptance(b, z0=z0).matrix, dense)
 
 
 def test_cayley_map_defects_random_patterns():
@@ -143,48 +177,6 @@ def test_cayley_map_defects_random_patterns():
                 theta = scattering_from_susceptance(b, z0=z0)
                 assert theta.symmetry_defect <= 1e-10
                 assert theta.unitarity_defect <= 1e-9
-
-
-def finest_block_bounds(b):
-    """The finest contiguous block partition, straight from its definition."""
-    n = b.shape[0]
-    return [0] + [k for k in range(1, n) if not np.any(b[:k, k:])] + [n]
-
-
-def patterned_b(mask, rng):
-    b = np.where(mask, rng.standard_normal(mask.shape), 0.0)
-    return b + b.T
-
-
-def test_block_bounds_match_brute_force():
-    rng = np.random.default_rng(31)
-    for n in (1, 2, 3, 6, 12):
-        labels = ["sc", "tc", "fc"] + [f"gc:{k}" for k in range(1, n + 1) if n % k == 0]
-        if n > 2:
-            labels.append(f"gc:I=1,{n - 1}")
-        for label in labels:
-            mask = pattern_mask(parse_arch(label, n))
-            for _ in range(5):
-                b = patterned_b(mask, rng)
-                assert block_bounds(b).tolist() == finest_block_bounds(b), label
-    # dead and zero groups split into singletons
-    b = patterned_b(pattern_mask(parse_arch("gc:3", 9)), rng)
-    b[3:6, 3:6] = 0.0
-    b[6:9, 6:9] = np.diag(np.diagonal(b)[6:9])
-    assert block_bounds(b).tolist() == finest_block_bounds(b) == [0, 3, 4, 5, 6, 7, 8, 9]
-    # one exactly-zero tc coupling cuts the chain in two
-    b = patterned_b(pattern_mask(parse_arch("tc", 7)), rng)
-    b[3, 4] = b[4, 3] = 0.0
-    assert block_bounds(b).tolist() == finest_block_bounds(b) == [0, 4, 7]
-    # a coupling reaching past a zero superdiagonal entry keeps the block whole
-    b[1, 5] = b[5, 1] = 1.0
-    assert block_bounds(b).tolist() == finest_block_bounds(b) == [0, 7]
-    # the all-zero matrix, and n = 1 and n = 2
-    assert block_bounds(np.zeros((5, 5))).tolist() == [0, 1, 2, 3, 4, 5]
-    assert block_bounds(np.zeros((1, 1))).tolist() == [0, 1]
-    assert block_bounds(np.array([[1.0]])).tolist() == [0, 1]
-    assert block_bounds(np.array([[1.0, 0.0], [0.0, 2.0]])).tolist() == [0, 1, 2]
-    assert block_bounds(np.array([[0.0, 1.0], [1.0, 0.0]])).tolist() == [0, 2]
 
 
 def test_scattering_matrix_rejects_a_corrupted_block():

@@ -14,6 +14,9 @@ from contextlib import redirect_stderr
 
 import pytest
 
+from bdris.architecture import parse_arch
+from bdris.channel import Rng, gen_rayleigh
+
 TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -43,3 +46,16 @@ def test_simulate_layers_are_counted(tracer, tmp_path):
     assert totals["channel.gen.calls"] == 4
     assert totals["adversarial.is_tc_adversarial.calls"] == 4
     assert totals["optimize.optimize.calls"] == 4
+
+
+@pytest.mark.parametrize("label", ["sc", "gc:4", "tc", "fc"])
+def test_optimize_reaches_the_traced_cayley_map(tracer, label):
+    # optimize() must reach the Cayley map and its check through the traced
+    # names, or their per-layer figures would silently read 0
+    pair = gen_rayleigh(8, Rng(5))
+    with tracer.Tracer() as trace:
+        importlib.import_module("bdris.optimize").optimize(pair, parse_arch(label, 8))
+    totals = trace.totals()
+    assert totals["optimize.optimize.calls"] == 1
+    assert totals["architecture.scattering_from_susceptance.calls"] == 1
+    assert totals["linalg.check_symmetric_unitary.calls"] >= 1

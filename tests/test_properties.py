@@ -21,6 +21,8 @@ from bdris.architecture import (
     KIND_TREE,
     ArchitectureSpec,
     ScatteringMatrix,
+    SusceptanceMatrix,
+    groups_by_width,
     parse_arch,
     pattern_mask,
     received_power,
@@ -155,6 +157,14 @@ def patterned_susceptances(draw):
     return b, spec, z0, gen_rayleigh(n, Rng(draw(st.integers(0, 2 ** 64 - 1))))
 
 
+def spec_layout(b, spec):
+    """B in the block layout its optimizer hands over: tc one dense block, sc and gc their groups."""
+    if spec.kind == KIND_TREE:
+        return SusceptanceMatrix(b)
+    return SusceptanceMatrix(tuple((idx, b[idx[:, :, None], idx[:, None, :]])
+                                   for idx in groups_by_width(spec.effective_cuts, spec.n)))
+
+
 def _checked(build):
     try:
         return build()
@@ -165,15 +175,15 @@ def _checked(build):
 @settings(max_examples=300, deadline=None)
 @given(patterned_susceptances())
 def test_blocked_cayley_matches_dense_solve(case):
-    """The blocked Theta and its power are the dense solve's, up to rounding.
+    """The blocked Theta of B in its pattern's layout, and its power, are the dense solve's.
 
-    Outside a block pattern Theta is exactly zero.
+    Up to rounding; outside a block pattern Theta is exactly zero.
     """
     b, spec, z0, pair = case
     n = b.shape[0]
     jb = 1j * z0 * b
     dense = np.linalg.solve(np.eye(n) + jb, np.eye(n) - jb)
-    blocked = _checked(lambda: scattering_from_susceptance(b, z0))
+    blocked = _checked(lambda: scattering_from_susceptance(spec_layout(b, spec), z0))
     whole = _checked(lambda: ScatteringMatrix(n, ((np.arange(n)[None], dense[None]),)))
     assert (blocked is None) == (whole is None)
     if blocked is None:

@@ -14,6 +14,8 @@ import pytest
 
 from bdris.architecture import (
     KIND_TREE,
+    SusceptanceMatrix,
+    groups_by_width,
     parse_arch,
     partition_from_cuts,
     received_power,
@@ -79,6 +81,14 @@ def svd_reference(pair, spec, z0=Z0):
         scale = max(scale, float(np.linalg.norm(rhs)))
     consistent = worst_residual <= CONSISTENT_RTOL * scale if scale > 0.0 else True
     return b, worst_residual, consistent
+
+
+def spec_layout(b, spec):
+    """B in the block layout its optimizer hands over: tc one dense block, sc and gc their groups."""
+    if spec.kind == KIND_TREE:
+        return SusceptanceMatrix(b)
+    return SusceptanceMatrix(tuple((idx, b[idx[:, :, None], idx[:, None, :]])
+                                   for idx in groups_by_width(spec.effective_cuts, spec.n)))
 
 
 def reference_ratio(pair, b, z0=Z0):
@@ -167,7 +177,7 @@ def assert_same_as_svd(pair, label, z0=Z0):
     assert np.array_equal(res.b_matrix.matrix, b_ref)
     assert res.residual_norm == residual_ref
     assert res.consistent == consistent_ref
-    assert res.p_r == received_power(pair, scattering_from_susceptance(b_ref, z0))
+    assert res.p_r == received_power(pair, scattering_from_susceptance(spec_layout(b_ref, spec), z0))
     return res
 
 

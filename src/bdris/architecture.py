@@ -160,23 +160,33 @@ def _dense(n: int, blocks, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SusceptanceMatrix:
-    """Real symmetric susceptance matrix B, held as its diagonal blocks.
+    """Real symmetric susceptance matrix B, held in its architecture's layout.
 
-    blocks is a tuple of (index, values) entries, one per block width w:
-    index has shape (g, w), the elements of each of g blocks, and values
-    shape (g, w, w), their blocks of B.  The architecture decides the
-    layout: optimize_sc hands over one width-1 stack and optimize_gc its
-    groups, while a dense matrix given alone (anything but a tuple) is one
-    block of width n, kept 2-D with index of shape (n,).  Every entry
-    outside the blocks is zero, so each block being finite and exactly
-    symmetric is the check of the dense B, which .matrix builds only on
-    request.
+    The architecture decides the layout, one of two:
+
+    - blocks, a tuple of (index, values) entries, one per block width w:
+      index has shape (g, w), the elements of each of g blocks, and values
+      shape (g, w, w), their blocks of B.  optimize_sc hands over one
+      width-1 stack and optimize_gc its groups, while a dense matrix given
+      alone (anything but a tuple) is one block of width n, kept 2-D with
+      index of shape (n,).  Every entry outside the blocks is zero, so each
+      block being finite and exactly symmetric is the check of the dense B.
+    - bands, the (diagonal, couplings) of a tridiagonal B, of shapes (n,)
+      and (n - 1,), as optimize_tc hands them over.  Coupling k is B_{k,k+1}
+      = B_{k+1,k}, so the layout is symmetric by construction and both
+      bands being finite is the check of the dense B.
+
+    .matrix builds the dense B only on request.
     """
 
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    bands: tuple[np.ndarray, np.ndarray] | None = None
     n: int = field(init=False)
 
     def __post_init__(self):
+        if self.bands is not None:
+            self._check_bands()
+            return
         blocks = self.blocks
         if not isinstance(blocks, tuple):
             m = np.asarray(blocks, dtype=float)
@@ -197,10 +207,28 @@ class SusceptanceMatrix:
         object.__setattr__(self, "blocks", tuple(checked))
         object.__setattr__(self, "n", n)
 
+    def _check_bands(self) -> None:
+        if not isinstance(self.blocks, tuple) or self.blocks:
+            raise InputError("susceptance matrix takes blocks or bands, not both")
+        diag, coupling = (np.asarray(band, dtype=float) for band in self.bands)
+        if diag.ndim != 1 or diag.size == 0 or coupling.shape != (diag.size - 1,):
+            raise InputError(f"tridiagonal bands must have shapes (n,) and (n - 1,) with n >= 1, "
+                             f"got {diag.shape} and {coupling.shape}")
+        if not (np.isfinite(diag).all() and np.isfinite(coupling).all()):
+            raise InputError("susceptance entries must be finite")
+        object.__setattr__(self, "bands", (diag, coupling))
+        object.__setattr__(self, "n", diag.size)
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense n x n B."""
-        return _dense(self.n, self.blocks, float)
+        if self.bands is None:
+            return _dense(self.n, self.blocks, float)
+        diag, coupling = self.bands
+        m = np.diag(diag)
+        k = np.arange(self.n - 1)
+        m[k, k + 1] = m[k + 1, k] = coupling
+        return m
 
     def conforms(self, spec: ArchitectureSpec) -> bool:
         """True when every entry outside the architecture pattern is zero."""
@@ -213,10 +241,11 @@ class ScatteringMatrix:
 
     blocks holds one (index, theta) entry per block width, in the layout of
     the SusceptanceMatrix it was mapped from, a lone block without its
-    leading axis.  Every entry outside the blocks is zero.  Each width's
-    stack is checked at construction by linalg.check_symmetric_unitary,
-    against the absolute THETA_SYM_TOL and THETA_UNITARY_TOL, and the
-    defects are the maximum over widths.  As the off-block entries of Theta
+    leading axis; a tridiagonal B's Theta is one dense block of width n.
+    Every entry outside the blocks is zero.  Each width's stack is checked
+    at construction by linalg.check_symmetric_unitary, against the absolute
+    THETA_SYM_TOL and THETA_UNITARY_TOL, and the defects are the maximum
+    over widths.  As the off-block entries of Theta
     and Theta^H Theta are exactly zero, that is the check of the dense
     matrix, which .matrix builds only on request.
     """
@@ -256,20 +285,24 @@ class ScatteringMatrix:
 
 
 def scattering_from_susceptance(b, z0: float = DEFAULT_Z0) -> ScatteringMatrix:
-    """Lossless scattering matrix of a susceptance matrix, block by block.
+    """Lossless scattering matrix of a susceptance matrix, in B's layout.
 
     Theta = (I + j z0 B)^-1 (I - j z0 B) is block-diagonal on B's blocks, so
-    each of b.blocks is mapped on its own, in B's layout: a width-1 stack
-    entry by entry, Theta_ii = (1 - j z0 B_ii) / (1 + j z0 B_ii) (all of
-    sc); each wider stack, or the one 2-D block of a dense B, by one batched
-    solve of (I + j z0 B) Theta = (I - j z0 B) rather than an explicit
-    inverse, for conditioning.  No dense n x n Theta is formed unless
+    each of b.blocks is mapped on its own: a width-1 stack entry by entry,
+    Theta_ii = (1 - j z0 B_ii) / (1 + j z0 B_ii) (all of sc); each wider
+    stack, or the one 2-D block of a dense B, by one batched solve of
+    (I + j z0 B) Theta = (I - j z0 B) rather than an explicit inverse, for
+    conditioning.  A tridiagonal B given as its bands maps to one dense
+    width-n block by an O(n^2) Thomas sweep (_tridiagonal_cayley), with no
+    dense solve.  No dense n x n Theta is formed for a block pattern unless
     .matrix is read.  For real symmetric B the result is symmetric unitary
     up to rounding; the construction check enforces that.
     """
     if not isinstance(b, SusceptanceMatrix):
         b = SusceptanceMatrix(b)
     _check_z0(z0)
+    if b.bands is not None:
+        return ScatteringMatrix(b.n, ((np.arange(b.n), _tridiagonal_cayley(*b.bands, z0)),))
     blocks = []
     for index, values in b.blocks:
         jb = 1j * z0 * values
@@ -284,6 +317,44 @@ def scattering_from_susceptance(b, z0: float = DEFAULT_Z0) -> ScatteringMatrix:
                 raise NumericalFailure(f"scattering solve failed: {exc}") from exc
         blocks.append((index, theta))
     return ScatteringMatrix(b.n, tuple(blocks))
+
+
+def _tridiagonal_cayley(diag, coupling, z0: float) -> np.ndarray:
+    """Dense Theta = 2 (I + j z0 B)^-1 - I of a tridiagonal B, in O(n^2).
+
+    M = I + j z0 B is complex symmetric tridiagonal, with diagonal a_k =
+    1 + j z0 B_kk and couplings c_k = j z0 B_{k,k+1}.  It factors as M = LU
+    with no row exchanges: L lower bidiagonal with the pivots u_k on its
+    diagonal and c_{k-1} below it, U unit upper bidiagonal with c_k / u_k
+    above it, u_0 = a_0 and u_k = a_k - c_{k-1}^2 / u_{k-1}.  No pivot
+    vanishes, as Re M = I gives Re u_k = 1 + z0^2 B_{k-1,k}^2 Re(u_{k-1}) /
+    |u_{k-1}|^2 >= 1.  A forward sweep builds 2 L^-1 row by row, and a
+    back substitution over its n columns gives 2 M^-1 = U^-1 (2 L^-1):
+    a few numpy row operations per step and no dense solve.  Both
+    triangles come out of the sweeps, neither mirrored from the other, so
+    the symmetry check of Theta still measures the rounding.
+    """
+    n = diag.size
+    a = (1.0 + 1j * z0 * diag).tolist()
+    c = (1j * z0 * coupling).tolist()
+    u = [a[0]]
+    for k in range(1, n):
+        u.append(a[k] - c[k - 1] / u[k - 1] * c[k - 1])
+    theta = np.zeros((n, n), dtype=complex)
+    rows = list(theta)
+    # forward sweep: row k of 2 L^-1 is -(c_{k-1} / u_k) times row k - 1,
+    # plus 2 / u_k on the diagonal
+    rows[0][0] = 2.0 / u[0]
+    for k in range(1, n):
+        np.multiply(rows[k - 1], -c[k - 1] / u[k], out=rows[k])
+        rows[k][k] = 2.0 / u[k]
+    # back substitution: row k -= (c_k / u_k) row k + 1
+    scaled = np.empty(n, dtype=complex)
+    for k in range(n - 2, -1, -1):
+        np.multiply(rows[k + 1], c[k] / u[k], out=scaled)
+        np.subtract(rows[k], scaled, out=rows[k])
+    theta.flat[:: n + 1] -= 1.0
+    return theta
 
 
 def received_power(pair, theta) -> float:

@@ -111,21 +111,23 @@ def optimize_tc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
 
     Falls back to minimum-norm least squares on the real-stacked system
     when a 2x2 block is near-singular or the recursion's residual fails
-    CONSISTENT_RTOL (the adversarial set).  Needs n >= 2; optimize()
-    serves n = 1 by sc's closed form.
+    CONSISTENT_RTOL (the adversarial set).  Either way B is handed over as
+    its bands, the diagonal and the couplings, with no dense n x n B, and
+    its Theta comes from the Cayley map's O(n^2) tridiagonal sweep.  Needs
+    n >= 2; optimize() serves n = 1 by sc's closed form.
     """
     n = pair.n
-    entries = _tc_entries(n)
     solved = _solve_tridiagonal(*_tc_steering(pair, z0))
     if solved is None:
         system = build_tc_system(pair, z0)
-        b, residual, rhs_norm = _least_squares_block(system.a, system.b, entries, n)
-        consistent = residual <= CONSISTENT_RTOL * rhs_norm
+        sol = min_norm_least_squares(system.a, system.b)
+        diag, coupling, residual = sol.x[:n], sol.x[n:], sol.residual_norm
+        consistent = residual <= CONSISTENT_RTOL * float(np.linalg.norm(system.b))
     else:
         diag, coupling, residual = solved
-        b = _symmetric_block(np.concatenate([diag, coupling]), entries, n)
         consistent = True
-    return _finish(pair, SusceptanceMatrix(b), z0, upper_bound_full(pair), residual, consistent)
+    b = SusceptanceMatrix(bands=(diag, coupling))
+    return _finish(pair, b, z0, upper_bound_full(pair), residual, consistent)
 
 
 def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0) -> OptimizeResult:
@@ -465,7 +467,7 @@ def _stacked_system(alpha, beta, entries):
 
 
 def _least_squares_block(a, rhs, entries, size: int):
-    """(B, residual norm, ||rhs||) of the SVD fallback on a real-stacked system."""
+    """(B block, residual norm, ||rhs||) of the SVD fallback on one group's real-stacked system."""
     sol = min_norm_least_squares(a, rhs)
     return _symmetric_block(sol.x, entries, size), sol.residual_norm, float(np.linalg.norm(rhs))
 

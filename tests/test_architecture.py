@@ -115,6 +115,23 @@ def test_susceptance_matrix_checks():
         SusceptanceMatrix(np.ones((2, 3)))
 
 
+def test_susceptance_bands():
+    diag = np.array([1.0, -2.0, 0.5])
+    coupling = np.array([0.25, -1.0])
+    b = SusceptanceMatrix(bands=(diag, coupling))
+    assert b.n == 3 and "matrix" not in vars(b)
+    assert np.array_equal(b.matrix, [[1.0, 0.25, 0.0], [0.25, -2.0, -1.0], [0.0, -1.0, 0.5]])
+    assert b.conforms(parse_arch("tc", 3)) and not b.conforms(parse_arch("sc", 3))
+    one = SusceptanceMatrix(bands=(np.array([0.02]), np.zeros(0)))
+    assert one.n == 1 and one.matrix[0, 0] == 0.02
+    for bad in ((diag, coupling[:1]), (diag[:, None], coupling), (np.zeros(0), np.zeros(0)),
+                (diag, np.array([np.nan, 0.0])), (np.array([np.inf, 0.0, 0.0]), coupling)):
+        with pytest.raises(InputError):
+            SusceptanceMatrix(bands=bad)
+    with pytest.raises(InputError):
+        SusceptanceMatrix(np.eye(3), bands=(diag, coupling))
+
+
 def test_cayley_map_frozen_values():
     theta = scattering_from_susceptance(np.zeros((3, 3)), z0=50.0)
     assert np.allclose(theta.matrix, np.eye(3), atol=1e-14)
@@ -127,6 +144,11 @@ def test_cayley_map_frozen_values():
     theta2 = scattering_from_susceptance(np.diag([-2.0 / 3.0, 2.0 / 3.0]), z0=1.0)
     expect = np.diag([(5 + 12j) / 13.0, (5 - 12j) / 13.0])
     assert np.allclose(theta2.matrix, expect, atol=1e-14)
+    # the same B as tridiagonal bands, and in one element B = 0.02
+    banded = SusceptanceMatrix(bands=(np.array([-2.0 / 3.0, 2.0 / 3.0]), np.zeros(1)))
+    assert np.allclose(scattering_from_susceptance(banded, z0=1.0).matrix, expect, atol=1e-14)
+    one = SusceptanceMatrix(bands=(np.array([0.02]), np.zeros(0)))
+    assert scattering_from_susceptance(one, z0=50.0).matrix[0, 0] == pytest.approx(-1j, abs=1e-14)
 
 
 def test_cayley_map_diagonal_matches_dense_solve():

@@ -238,6 +238,49 @@ def test_block_patterns_build_no_dense_theta(label):
     assert "matrix" not in vars(res.theta)
 
 
+def test_tc_holds_b_as_bands():
+    # tc hands B over as its two bands and builds its Theta by the O(n^2)
+    # tridiagonal sweep: at n = 1024 a dense real B would take 8 MB and a
+    # dense solve's temporaries some 40 MB more; the full check of the dense
+    # Theta stays, about three 16 MB complex arrays
+    n = 1024
+    pair = gen_rayleigh(n, Rng(95))
+    spec = parse_arch("tc", n)
+    tracemalloc.start()
+    try:
+        res = optimize(pair, spec, z0=50.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * n * n
+    assert "matrix" not in vars(res.b_matrix)
+    assert res.b_matrix.bands[0].shape == (n,) and res.b_matrix.bands[1].shape == (n - 1,)
+
+
+@pytest.mark.parametrize("pair,z0", [(gen_rayleigh(64, Rng(96)), 50.0), (PAPER_PAIR, 1.0)],
+                         ids=["rayleigh-64", "paper-pair-fallback"])
+def test_tc_calls_no_dense_solve(pair, z0, monkeypatch):
+    # both legs, the recursion and (on the paper's pair) the SVD fallback,
+    # reach Theta without np.linalg.solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called on the tc path")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    res = optimize(pair, parse_arch("tc", pair.n), z0=z0)
+    assert res.consistent == (pair is not PAPER_PAIR)
+    assert res.theta.symmetry_defect <= 1e-14 and res.theta.unitarity_defect <= 1e-14
+
+
+def test_tc_large_entry_pair_passes_the_check():
+    # trial 1935 of `simulate --scenario rayleigh --sizes 64 --trials 4000
+    # --arch tc --seed 3`: its B has large entries, and the dense solve's
+    # Theta missed THETA_SYM_TOL with a symmetry defect of 1.05e-9
+    pair = gen_rayleigh(64, Rng(11371763063177264948))
+    res = optimize(pair, parse_arch("tc", 64), z0=50.0)
+    assert res.theta.symmetry_defect <= 1e-14 and res.theta.unitarity_defect <= 1e-14
+    assert res.consistent and res.ratio_full >= 1.0 - 1e-12
+
+
 def test_z0_invariance():
     specs = (
         ArchitectureSpec(KIND_SINGLE, 8),

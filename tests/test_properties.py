@@ -158,9 +158,9 @@ def patterned_susceptances(draw):
 
 
 def spec_layout(b, spec):
-    """B in the block layout its optimizer hands over: tc one dense block, sc and gc their groups."""
+    """B in the layout its optimizer hands over: tc its bands, sc and gc their groups."""
     if spec.kind == KIND_TREE:
-        return SusceptanceMatrix(b)
+        return SusceptanceMatrix(bands=(np.diagonal(b), np.diagonal(b, 1)))
     return SusceptanceMatrix(tuple((idx, b[idx[:, :, None], idx[:, None, :]])
                                    for idx in groups_by_width(spec.effective_cuts, spec.n)))
 
@@ -193,6 +193,25 @@ def test_blocked_cayley_matches_dense_solve(case):
         assert not np.any(blocked.matrix[~pattern_mask(spec)])
     p_dense = abs(np.vdot(pair.h_r, dense @ pair.h_t)) ** 2
     assert abs(received_power(pair, blocked) - p_dense) <= 1e-12 * p_dense
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1), st.sampled_from(Z0S),
+       st.floats(-3.0, 8.0), st.sampled_from((0.0, 0.2, 0.6)))
+def test_tridiagonal_cayley_at_large_scale(n, seed, z0, top, zero_share):
+    """A tc-pattern B with z0 |B_ij| up to 1e8 maps to a Theta that passes the unchanged check.
+
+    The tridiagonal sweep keeps both defects at rounding level, where a
+    dense solve's reach about 1e-9 at this scale.
+    """
+    rng = np.random.default_rng(seed)
+    bands = []
+    for size in (n, n - 1):
+        band = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-3.0, top, size) / z0
+        band[rng.uniform(size=size) < zero_share] = 0.0
+        bands.append(band)
+    theta = scattering_from_susceptance(SusceptanceMatrix(bands=tuple(bands)), z0)
+    assert theta.symmetry_defect <= 1e-13 and theta.unitarity_defect <= 1e-13
 
 
 NUMBERS = st.floats() | st.integers(min_value=-10 ** 400, max_value=10 ** 400)

@@ -84,9 +84,9 @@ def svd_reference(pair, spec, z0=Z0):
 
 
 def spec_layout(b, spec):
-    """B in the block layout its optimizer hands over: tc one dense block, sc and gc their groups."""
+    """B in the layout its optimizer hands over: tc its bands, sc and gc their groups."""
     if spec.kind == KIND_TREE:
-        return SusceptanceMatrix(b)
+        return SusceptanceMatrix(bands=(np.diagonal(b), np.diagonal(b, 1)))
     return SusceptanceMatrix(tuple((idx, b[idx[:, :, None], idx[:, None, :]])
                                    for idx in groups_by_width(spec.effective_cuts, spec.n)))
 

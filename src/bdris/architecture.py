@@ -9,15 +9,17 @@ upper bounds are plain inner products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, NumericalFailure
-from .linalg import check_symmetric_unitary
+from .linalg import THETA_SYM_TOL, THETA_UNITARY_TOL, MatrixCheck, check_symmetric_unitary
 
 DEFAULT_Z0 = 50.0
+_EPS = np.finfo(float).eps
 
 KIND_SINGLE = "single_connected"
 KIND_GROUP = "group_connected"
@@ -162,25 +164,38 @@ def _dense(n: int, blocks, dtype) -> np.ndarray:
 class SusceptanceMatrix:
     """Real symmetric susceptance matrix B, held in its architecture's layout.
 
-    The architecture decides the layout, one of two:
+    The architecture decides the layout, one of three:
 
     - blocks, a tuple of (index, values) entries, one per block width w:
       index has shape (g, w), the elements of each of g blocks, and values
       shape (g, w, w), their blocks of B.  optimize_sc hands over one
-      width-1 stack and optimize_gc its groups, while a dense matrix given
-      alone (anything but a tuple) is one block of width n, kept 2-D with
-      index of shape (n,).  Every entry outside the blocks is zero, so each
-      block being finite and exactly symmetric is the check of the dense B.
+      width-1 stack and optimize_gc its groups of width 4 or less, and
+      those of its wider groups that take no closed form (dead, degenerate
+      and SVD-fallback groups), while a dense matrix given alone (anything
+      but a tuple) is one block of width n, kept 2-D with index of shape
+      (n,).  Every entry outside the blocks is zero, so each block being
+      finite and exactly symmetric is the check of the dense B.
+    - factors, a tuple of (index, q, s) entries beside the blocks: each of
+      the g groups of width w in index (g, w) holds its block of B as
+      Q S Q^T, with q of shape (g, w, r) with orthonormal columns and s of
+      shape (g, r, r), r <= w.  optimize_gc hands over its closed-form
+      groups wider than 4 this way, fc's one group among them, as the
+      closed form has rank at most 4.  Each s being finite and exactly
+      symmetric, and each q finite, is the check of the dense B; the
+      Cayley map relies on Q^T Q = I, and the scattering check measures
+      how far the q handed over is from it.
     - bands, the (diagonal, couplings) of a tridiagonal B, of shapes (n,)
       and (n - 1,), as optimize_tc hands them over.  Coupling k is B_{k,k+1}
       = B_{k+1,k}, so the layout is symmetric by construction and both
       bands being finite is the check of the dense B.
 
-    .matrix builds the dense B only on request.
+    .matrix builds the dense B only on request, a factored block as the
+    mean of Q S Q^T and its transpose, so that it is exactly symmetric.
     """
 
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
     bands: tuple[np.ndarray, np.ndarray] | None = None
+    factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()
     n: int = field(init=False)
 
     def __post_init__(self):
@@ -196,20 +211,30 @@ class SusceptanceMatrix:
             values = np.asarray(values, dtype=float)
             if values.shape != index.shape + index.shape[-1:]:
                 raise InputError(f"susceptance blocks must be square, got shape {values.shape}")
-            if not np.isfinite(values).all():
-                raise InputError("susceptance entries must be finite")
-            if not np.array_equal(values, values.swapaxes(-1, -2)):
-                raise InputError("susceptance matrix must be exactly symmetric")
+            _check_symmetric(values)
             checked.append((index, values))
-        n = sum(index.size for index, _ in checked)
+        factors = []
+        for index, q, s in self.factors:
+            q = np.asarray(q, dtype=float)
+            s = np.asarray(s, dtype=float)
+            if (q.shape[:-1] != index.shape or s.shape != index.shape[:-1] + q.shape[-1:] * 2
+                    or not 1 <= q.shape[-1] <= index.shape[-1]):
+                raise InputError(f"susceptance factors of shapes {q.shape} and {s.shape} "
+                                 f"do not fit groups of shape {index.shape}")
+            if not np.isfinite(q).all():
+                raise InputError("susceptance entries must be finite")
+            _check_symmetric(s)
+            factors.append((index, q, s))
+        n = sum(entry[0].size for entry in checked + factors)
         if n == 0:
             raise InputError("susceptance matrix must be nonempty")
         object.__setattr__(self, "blocks", tuple(checked))
+        object.__setattr__(self, "factors", tuple(factors))
         object.__setattr__(self, "n", n)
 
     def _check_bands(self) -> None:
-        if not isinstance(self.blocks, tuple) or self.blocks:
-            raise InputError("susceptance matrix takes blocks or bands, not both")
+        if not isinstance(self.blocks, tuple) or self.blocks or self.factors:
+            raise InputError("susceptance matrix takes blocks and factors, or bands, not both")
         diag, coupling = (np.asarray(band, dtype=float) for band in self.bands)
         if diag.ndim != 1 or diag.size == 0 or coupling.shape != (diag.size - 1,):
             raise InputError(f"tridiagonal bands must have shapes (n,) and (n - 1,) with n >= 1, "
@@ -223,7 +248,11 @@ class SusceptanceMatrix:
     def matrix(self) -> np.ndarray:
         """The dense n x n B."""
         if self.bands is None:
-            return _dense(self.n, self.blocks, float)
+            expanded = []
+            for index, q, s in self.factors:
+                values = q @ s @ q.swapaxes(-1, -2)
+                expanded.append((index, 0.5 * (values + values.swapaxes(-1, -2))))
+            return _dense(self.n, self.blocks + tuple(expanded), float)
         diag, coupling = self.bands
         m = np.diag(diag)
         k = np.arange(self.n - 1)
@@ -235,30 +264,43 @@ class SusceptanceMatrix:
         return not np.any(self.matrix[~pattern_mask(spec)])
 
 
+def _check_symmetric(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise InputError("susceptance entries must be finite")
+    if not np.array_equal(values, values.swapaxes(-1, -2)):
+        raise InputError("susceptance matrix must be exactly symmetric")
+
+
 @dataclass(frozen=True, eq=False)
 class ScatteringMatrix:
-    """Symmetric unitary scattering matrix, held as its diagonal blocks.
+    """Symmetric unitary scattering matrix, held in its susceptance's layout.
 
     blocks holds one (index, theta) entry per block width, in the layout of
     the SusceptanceMatrix it was mapped from, a lone block without its
     leading axis; a tridiagonal B's Theta is one dense block of width n.
-    Every entry outside the blocks is zero.  Each width's stack is checked
-    at construction by linalg.check_symmetric_unitary, against the absolute
-    THETA_SYM_TOL and THETA_UNITARY_TOL, and the defects are the maximum
-    over widths.  As the off-block entries of Theta
-    and Theta^H Theta are exactly zero, that is the check of the dense
-    matrix, which .matrix builds only on request.
+    factors holds one (index, q, core) entry per factored width: a group's
+    block of Theta is I + Q (Theta_S - I) Q^T, with Theta_S the r x r core.
+    Every entry outside the groups is zero.  Each width's stack of blocks
+    is checked at construction by linalg.check_symmetric_unitary, against
+    the absolute THETA_SYM_TOL and THETA_UNITARY_TOL; as the off-block
+    entries of Theta and Theta^H Theta are exactly zero, that is the check
+    of the dense matrix.  Each stack of cores goes through the same call,
+    and its defects bound those of the dense groups (_factored_check).
+    The defects are the maximum over both.  .matrix builds the dense Theta
+    only on request, and apply() costs O(w r) per factored group.
     """
 
     n: int
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()
     symmetry_defect: float = field(default=0.0, init=False)
     unitarity_defect: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        if sum(index.size for index, _ in self.blocks) != self.n:
+        if sum(entry[0].size for entry in self.blocks + self.factors) != self.n:
             raise InputError(f"blocks do not cover the {self.n} elements")
         checks = [check_symmetric_unitary(theta) for _, theta in self.blocks]
+        checks += [_factored_check(q, core) for _, q, core in self.factors]
         sym = max(c.symmetry_defect for c in checks)
         uni = max(c.unitarity_defect for c in checks)
         object.__setattr__(self, "symmetry_defect", sym)
@@ -271,17 +313,73 @@ class ScatteringMatrix:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense n x n Theta."""
-        return _dense(self.n, self.blocks, complex)
+        expanded = []
+        for index, q, core in self.factors:
+            m = core - np.eye(core.shape[-1])
+            expanded.append((index, np.eye(index.shape[-1]) + q @ m @ q.swapaxes(-1, -2)))
+        return _dense(self.n, self.blocks + tuple(expanded), complex)
 
     def apply(self, x) -> np.ndarray:
-        """Theta x, block by block."""
+        """Theta x, block by block and group by group."""
         y = np.empty(self.n, dtype=complex)
         for index, theta in self.blocks:
             # a batched matmul, not an elementwise product, even at width 1:
             # it rounds like the BLAS gemv of the dense Theta, which keeps sc
             # bit for bit
             y[index] = (theta @ x[index][..., None])[..., 0]
+        for index, q, core in self.factors:
+            xg = x[index]
+            t = q.swapaxes(-1, -2) @ xg[..., None]
+            y[index] = xg + (q @ (core @ t - t))[..., 0]
         return y
+
+
+def _factored_check(q: np.ndarray, core: np.ndarray) -> MatrixCheck:
+    """Bounds on the defects of the dense Theta = I + Q (Theta_S - I) Q^T of each group.
+
+    The bounds are never below the max-abs-entry defects that
+    check_symmetric_unitary reports on the dense n x n Theta that .matrix
+    builds, and they take O(w r^2) work per group.  With the core stack's
+    checked defects s_S = max|Theta_S - Theta_S^T| and u_S = max|Theta_S^H
+    Theta_S - I|, M = Theta_S - I, m = ||M||_F >= ||M||_2 and E = Q^T Q - I:
+
+    - ||Q A Q^T||_max = max_ij |q_i^T A q_j| <= ||Q||_2^2 ||A||_2 (q_i the
+      rows of Q), with ||Q||_2^2 = ||Q^T Q||_2 <= 1 + e for e >= ||E||_2,
+      and ||A||_2 <= r ||A||_max for an r x r A.
+    - Theta - Theta^T = Q (Theta_S - Theta_S^T) Q^T, so the exact
+      symmetry defect is at most (1 + e) r s_S.
+    - Theta^H Theta - I = Q (Theta_S^H Theta_S - I + M^H E M) Q^T, by
+      expanding with Q^T Q = I + E, so the exact unitarity defect is at
+      most u_x = (1 + e)(r u_S + m^2 e).
+
+    e is ||fl(Q^T Q) - I||_F, widened by the rounding of that length-w
+    product.  What remains is the rounding of the dense arithmetic: each
+    entry of the dense Theta, a sum of at most 2r + 1 products, sits
+    within a/2 of the exact one and each column within a/2 in 2-norm,
+    with a = (2r + 2) eps (1 + 2 (1 + e) m).  That moves the symmetry
+    defect by at most a.  Columns of Theta have 2-norm at most 1 + u_x,
+    so the unitarity defect moves by at most 2 (1 + u_x) a, and the
+    check's own length-w complex inner products add at most (w + 2) eps
+    (1 + u_x + a)^2.  The bounds are these sums, maximized over the stack.
+    """
+    width, r = q.shape[-2:]
+    check = check_symmetric_unitary(core)
+    eye = np.eye(r)
+    gram_defect = _max_frobenius(q.swapaxes(-1, -2) @ q - eye)
+    e = gram_defect + 2 * (width + 1) * _EPS * (1.0 + gram_defect)
+    m = _max_frobenius(core - eye)
+    sym = (1.0 + e) * r * check.symmetry_defect
+    uni = (1.0 + e) * (r * check.unitarity_defect + m * m * e)
+    a = (2 * r + 2) * _EPS * (1.0 + 2.0 * (1.0 + e) * m)
+    sym += a
+    uni += 2.0 * (1.0 + uni) * a + (width + 2) * _EPS * (1.0 + uni + a) ** 2
+    return MatrixCheck(sym, uni, sym <= THETA_SYM_TOL and uni <= THETA_UNITARY_TOL)
+
+
+def _max_frobenius(m: np.ndarray) -> float:
+    """The largest Frobenius norm over a stack of matrices."""
+    a = np.abs(m)
+    return math.sqrt((a * a).sum(axis=(-2, -1)).max())
 
 
 def scattering_from_susceptance(b, z0: float = DEFAULT_Z0) -> ScatteringMatrix:
@@ -292,31 +390,38 @@ def scattering_from_susceptance(b, z0: float = DEFAULT_Z0) -> ScatteringMatrix:
     Theta_ii = (1 - j z0 B_ii) / (1 + j z0 B_ii) (all of sc); each wider
     stack, or the one 2-D block of a dense B, by one batched solve of
     (I + j z0 B) Theta = (I - j z0 B) rather than an explicit inverse, for
-    conditioning.  A tridiagonal B given as its bands maps to one dense
-    width-n block by an O(n^2) Thomas sweep (_tridiagonal_cayley), with no
-    dense solve.  No dense n x n Theta is formed for a block pattern unless
-    .matrix is read.  For real symmetric B the result is symmetric unitary
-    up to rounding; the construction check enforces that.
+    conditioning.  A factored group B = Q S Q^T (Q^T Q = I) maps through
+    its r x r core: by the Woodbury identity (I + j z0 Q S Q^T)^-1 = I +
+    Q ((I + j z0 S)^-1 - I) Q^T, so Theta = I + Q (Theta_S - I) Q^T with
+    Theta_S = (I + j z0 S)^-1 (I - j z0 S), the Cayley map of S, solved
+    like a width-r block.  A tridiagonal B given as its bands maps to one
+    dense width-n block by an O(n^2) Thomas sweep (_tridiagonal_cayley),
+    with no dense solve.  No dense n x n Theta is formed for a block or
+    factored pattern unless .matrix is read.  For real symmetric B the
+    result is symmetric unitary up to rounding; the construction check
+    enforces that.
     """
     if not isinstance(b, SusceptanceMatrix):
         b = SusceptanceMatrix(b)
     _check_z0(z0)
     if b.bands is not None:
         return ScatteringMatrix(b.n, ((np.arange(b.n), _tridiagonal_cayley(*b.bands, z0)),))
-    blocks = []
-    for index, values in b.blocks:
-        jb = 1j * z0 * values
-        width = index.shape[-1]
-        if width == 1:
-            theta = (1 - jb) / (1 + jb)
-        else:
-            eye = np.eye(width)
-            try:
-                theta = np.linalg.solve(eye + jb, eye - jb)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure(f"scattering solve failed: {exc}") from exc
-        blocks.append((index, theta))
-    return ScatteringMatrix(b.n, tuple(blocks))
+    blocks = tuple((index, _cayley(values, z0)) for index, values in b.blocks)
+    factors = tuple((index, q, _cayley(s, z0)) for index, q, s in b.factors)
+    return ScatteringMatrix(b.n, blocks, factors)
+
+
+def _cayley(values: np.ndarray, z0: float) -> np.ndarray:
+    """Theta of each block of a stack, or of one 2-D block."""
+    jb = 1j * z0 * values
+    width = values.shape[-1]
+    if width == 1:
+        return (1 - jb) / (1 + jb)
+    eye = np.eye(width)
+    try:
+        return np.linalg.solve(eye + jb, eye - jb)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"scattering solve failed: {exc}") from exc
 
 
 def _tridiagonal_cayley(diag, coupling, z0: float) -> np.ndarray:

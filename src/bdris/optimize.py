@@ -10,13 +10,17 @@ pattern's system is solved by a structured method:
 - group-connected and fully connected: one batched solve per group width
   (_solve_groups), the closed-form minimum-Frobenius real symmetric
   solution, with sc's phase alignment for width-1 and degenerate groups.
+  The closed form has rank at most 4, so a group wider than that (fc's
+  one group among them) is handed over as its factors, never as a dense
+  block.
 
 Stacking real and imaginary parts turns any of these systems into an
 ordinary real least-squares problem, solved by SVD as the fallback.  The
 fallback solves a whole tc system, or one gc group, when the structured
 solve divides by a determinant at most NEAR_SINGULAR_RTOL times its
 Hadamard bound (a cut-set adjacency, a near-singular group Gram matrix),
-or when its residual fails CONSISTENT_RTOL.  The minimum-norm
+or when its residual fails CONSISTENT_RTOL; a group whose stacked system
+would pass FALLBACK_MAX_BYTES raises NumericalFailure.  The minimum-norm
 least-squares solution is exact whenever the system is consistent and a
 well-behaved heuristic when it is not.
 """
@@ -44,7 +48,7 @@ from .architecture import (
     upper_bound_gc,
 )
 from .channel import ChannelPair, Rng, normalize
-from .errors import InputError
+from .errors import InputError, NumericalFailure
 from .linalg import min_norm_least_squares
 
 # A steering system counts as consistent when the least-squares residual is
@@ -56,6 +60,14 @@ CONSISTENT_RTOL = 1e-8
 # |alpha_{k+1}|, or the product of the Gram diagonal) the determinant counts
 # as singular and the system goes to the SVD fallback.
 NEAR_SINGULAR_RTOL = 1e-8
+# The closed form of a group has rank at most this; a group wider than it is
+# handed over as its factors (_closed_form_factors), a narrower one as a
+# dense block.
+_FACTOR_RANK = 4
+# The SVD fallback of a width-w group builds a real 2w x w(w + 1)/2 system
+# (about 8.6 GB at w = 1024).  Above this many bytes it raises
+# NumericalFailure instead of allocating it.
+FALLBACK_MAX_BYTES = 2 ** 28
 # Group with || hr_hat + ht_hat || below this is degenerate (opposite unit
 # vectors); the linear system vanishes and per-element phasing takes over.
 _DEGENERATE_GROUP_TOL = 1e-10
@@ -139,20 +151,26 @@ def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0) -> OptimizeResu
     vanishes identically and the group systems are generically solvable.
     Groups of equal width are solved together by _solve_groups, which
     picks each group's solver once, and B holds each width's stack of group
-    blocks as it comes, with no dense n x n B.
+    blocks as it comes, with no dense n x n B.  A closed-form group wider
+    than 4 (all of fc's one group, at n >= 5) is held as its rank-4
+    factors Q S Q^T, whose Theta comes from a 4 x 4 Cayley map.
     """
     _check_z0(z0)
     blocks = []
+    factors = []
     worst_residual = 0.0
     scale = 0.0
     for idx in groups_by_width(cuts, pair.n):
-        values, residuals, rhs_norms = _solve_groups(pair.h_r[idx], pair.h_t[idx], z0)
-        blocks.append((idx, values))
+        dense, factored, residuals, rhs_norms = _solve_groups(idx, pair.h_r, pair.h_t, z0)
+        if dense is not None:
+            blocks.append(dense)
+        if factored is not None:
+            factors.append(factored)
         worst_residual = max(worst_residual, float(residuals.max()))
         scale = max(scale, float(rhs_norms.max()))
     consistent = worst_residual <= CONSISTENT_RTOL * scale if scale > 0.0 else True
-    return _finish(pair, SusceptanceMatrix(tuple(blocks)), z0, upper_bound_gc(pair, cuts),
-                   worst_residual, consistent)
+    b = SusceptanceMatrix(tuple(blocks), factors=tuple(factors))
+    return _finish(pair, b, z0, upper_bound_gc(pair, cuts), worst_residual, consistent)
 
 
 def optimize_sc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
@@ -367,24 +385,31 @@ def _solve_tridiagonal(alpha, beta):
     return diag, coupling, residual
 
 
-def _solve_groups(hr, ht, z0: float):
-    """(blocks, residual norms, ||rhs||) of the steering systems of equal-width groups.
+def _solve_groups(idx, h_r, h_t, z0: float):
+    """(dense, factored, residual norms, ||rhs||) of the steering systems of equal-width groups.
 
-    hr, ht have shape (groups, width).  Each group is classified once:
-    a dead group (zero channel on either side) contributes nothing for any
-    block and gets a zero block; a width-1 or degenerate group (hr_hat ~
-    -ht_hat, vanishing alpha) gets per-element phasing, sc's closed form,
-    which meets the group bound; both report zero residual and ||rhs||.
-    Any other group takes the minimum-Frobenius real symmetric B with
-    B X = Y, X = [Re alpha, Im alpha], Y = [Re beta, Im beta]: Y X+ +
-    X+^T Y^T - X+^T X^T Y X+, X+ = (X^T X)^-1 X^T, which exists exactly
-    when X^T Y is symmetric, as per-group normalization guarantees.  Only
-    a group whose Gram determinant is at most NEAR_SINGULAR_RTOL times the
-    product of its diagonal, or whose residual fails CONSISTENT_RTOL, goes
-    to minimum-norm least squares on its real-stacked system.
+    idx has shape (groups, width), the elements of each group.  Each group
+    is classified once: a dead group (zero channel on either side)
+    contributes nothing for any block and gets a zero block; a width-1 or
+    degenerate group (hr_hat ~ -ht_hat, vanishing alpha) gets per-element
+    phasing, sc's closed form, which meets the group bound; both report
+    zero residual and ||rhs||.  Any other group takes the minimum-Frobenius
+    real symmetric B with B X = Y, X = [Re alpha, Im alpha], Y = [Re beta,
+    Im beta]: Y X+ + X+^T Y^T - X+^T X^T Y X+, X+ = (X^T X)^-1 X^T, which
+    exists exactly when X^T Y is symmetric, as per-group normalization
+    guarantees.  Only a group whose Gram determinant is at most
+    NEAR_SINGULAR_RTOL times the product of its diagonal, or whose residual
+    fails CONSISTENT_RTOL, goes to minimum-norm least squares on its
+    real-stacked system.
+
+    dense is (index, blocks), the groups held as dense blocks: all of them
+    at width <= _FACTOR_RANK, where _closed_form_blocks solves, and the
+    groups no closed form solved at a wider width.  factored is (index, q,
+    s), the closed-form groups of a wider width as _closed_form_factors
+    gives them.  Either is None when it holds no group.
     """
-    groups, width = hr.shape
-    blocks = np.zeros((groups, width, width))
+    hr, ht = h_r[idx], h_t[idx]
+    groups, width = idx.shape
     residuals = np.zeros(groups)
     rhs_norms = np.zeros(groups)
     nr = np.linalg.norm(hr, axis=1)
@@ -393,42 +418,102 @@ def _solve_groups(hr, ht, z0: float):
     hrn = hr[live] / nr[live, None]
     htn = ht[live] / nt[live, None]
     phased = (width == 1) | (np.linalg.norm(hrn + htn, axis=1) < _DEGENERATE_GROUP_TOL)
-    if phased.any():
-        g = live[phased]
-        k = np.arange(width)
-        blocks[g[:, None], k, k] = _phase_align_susceptance(hr[g], ht[g], z0)
+    g_phased = live[phased]
+    if g_phased.size:
         regular = ~phased
         live, hrn, htn = live[regular], hrn[regular], htn[regular]
-    if not live.size:
-        return blocks, residuals, rhs_norms
-    alpha, beta = _steering(hrn, htn, z0)
-    x = np.stack([alpha.real, alpha.imag], axis=2)
-    y = np.stack([beta.real, beta.imag], axis=2)
-    gram = x.transpose(0, 2, 1) @ x
-    g00, g01, g11 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
-    take = g00 * g11 - g01 * g01 > NEAR_SINGULAR_RTOL * g00 * g11
-    gram, x, y = gram[take], x[take], y[take]
-    xt = x.transpose(0, 2, 1)
-    pinv = np.linalg.solve(gram, xt)
-    yp = y @ pinv
-    bk = yp + yp.transpose(0, 2, 1) - pinv.transpose(0, 2, 1) @ (xt @ y) @ pinv
-    bk = 0.5 * (bk + bk.transpose(0, 2, 1))  # exactly symmetric
-    res = np.linalg.norm(bk @ x - y, axis=(1, 2))
-    rhs = np.linalg.norm(y, axis=(1, 2))
-    ok = res <= CONSISTENT_RTOL * rhs
-    take[take] = ok  # now marks the groups the closed form solved
-    closed = live[take]
-    blocks[closed], residuals[closed], rhs_norms[closed] = bk[ok], res[ok], rhs[ok]
-    fallback = live[~take]
+    closed = fallback = live[:0]
+    if live.size:
+        alpha, beta = _steering(hrn, htn, z0)
+        x = np.stack([alpha.real, alpha.imag], axis=2)
+        y = np.stack([beta.real, beta.imag], axis=2)
+        gram = x.transpose(0, 2, 1) @ x
+        g00, g01, g11 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+        take = g00 * g11 - g01 * g01 > NEAR_SINGULAR_RTOL * g00 * g11
+        gram, x, y = gram[take], x[take], y[take]
+        if width <= _FACTOR_RANK:
+            *solved, res = _closed_form_blocks(gram, x, y)
+        else:
+            *solved, res = _closed_form_factors(x, y)
+        rhs = np.linalg.norm(y, axis=(1, 2))
+        ok = res <= CONSISTENT_RTOL * rhs
+        take[take] = ok  # now marks the groups the closed form solved
+        closed, fallback = live[take], live[~take]
+        residuals[closed], rhs_norms[closed] = res[ok], rhs[ok]
+    if width <= _FACTOR_RANK:
+        slot, factored = np.arange(groups), None
+    else:
+        factored = (idx[closed], *(part[ok] for part in solved)) if closed.size else None
+        if closed.size == groups:
+            return None, factored, residuals, rhs_norms
+        # only the groups no closed form solved get a dense block
+        held = np.ones(groups, dtype=bool)
+        held[closed] = False
+        slot = np.cumsum(held) - 1
+        idx = idx[held]
+    blocks = np.zeros((len(idx), width, width))
+    if g_phased.size:
+        k = np.arange(width)
+        blocks[slot[g_phased][:, None], k, k] = _phase_align_susceptance(hr[g_phased], ht[g_phased], z0)
+    if width <= _FACTOR_RANK and closed.size:
+        blocks[closed] = solved[0][ok]
     if fallback.size:
         entries = _group_entries(width)
+        _check_fallback_size(width, entries)
     for g in fallback:
         # the 1-D norm, not the batched one above (which may differ in the
         # last bit), keeps this leg equal to the SVD solve of the group alone
         system = _stacked_system(*_steering(hr[g] / np.linalg.norm(hr[g]),
                                             ht[g] / np.linalg.norm(ht[g]), z0), entries)
-        blocks[g], residuals[g], rhs_norms[g] = _least_squares_block(*system, entries, width)
-    return blocks, residuals, rhs_norms
+        blocks[slot[g]], residuals[g], rhs_norms[g] = _least_squares_block(*system, entries, width)
+    return (idx, blocks), factored, residuals, rhs_norms
+
+
+def _closed_form_blocks(gram, x, y):
+    """(B blocks, residual norms) of the closed form, as dense blocks."""
+    xt = x.transpose(0, 2, 1)
+    pinv = np.linalg.solve(gram, xt)
+    yp = y @ pinv
+    bk = yp + yp.transpose(0, 2, 1) - pinv.transpose(0, 2, 1) @ (xt @ y) @ pinv
+    bk = 0.5 * (bk + bk.transpose(0, 2, 1))  # exactly symmetric
+    return bk, np.linalg.norm(bk @ x - y, axis=(1, 2))
+
+
+def _closed_form_factors(x, y):
+    """(Q, S, residual norms) of the closed form, as B = Q S Q^T with Q^T Q = I.
+
+    With P = X+^T, the closed form is P Y^T + Y P^T - P C P^T, C = X^T Y,
+    that is W K W^T with W = [Y, P] (w x 4) and K = [[0, I], [I, -C]].
+    P spans what X spans, so take the thin QR [X, Y] = Q [R_x, R_y]
+    instead of W's: X = Q_1 T with Q_1 the first two columns of Q and T
+    upper triangular, T^T T = X^T X.  Then P = Q_1 T^-T, C = T^T M_1 with
+    M = R_y T^-1 = [M_1; M_2] (two 2 x 2 halves), and W K W^T reduces to
+    S = [[M_1, M_2^T], [M_2, 0]], 4 x 4; M_1 = T^-T C T^-1 is symmetric,
+    and is symmetrized as the dense closed form symmetrizes B.
+    Householder QR keeps Q orthonormal even when [X, Y] has rank 2 or 3
+    (beta = 0 when hr_hat = ht_hat, and then S = 0).  The residual B X -
+    Y = Q (S (Q^T X)) - Y takes O(w) work.
+    """
+    q, r = np.linalg.qr(np.concatenate([x, y], axis=2))
+    m = r[:, :, 2:].copy()  # M = R_y T^-1, by forward substitution
+    m[:, :, 0] /= r[:, 0, 0, None]
+    m[:, :, 1] -= r[:, 0, 1, None] * m[:, :, 0]
+    m[:, :, 1] /= r[:, 1, 1, None]
+    s = np.zeros((len(r), _FACTOR_RANK, _FACTOR_RANK))
+    s[:, :, :2] = m
+    s = s + s.transpose(0, 2, 1)
+    s[:, :2, :2] *= 0.5  # exactly symmetric
+    return q, s, np.linalg.norm(q @ (s @ (q.transpose(0, 2, 1) @ x)) - y, axis=(1, 2))
+
+
+def _check_fallback_size(width: int, entries) -> None:
+    """Raise NumericalFailure before a group's SVD fallback would pass FALLBACK_MAX_BYTES."""
+    size = 2 * width * entries[0].size * np.dtype(float).itemsize
+    if size > FALLBACK_MAX_BYTES:
+        raise NumericalFailure(
+            f"the SVD fallback of a width-{width} group needs a {2 * width} x {entries[0].size} "
+            f"real system of {size / 2 ** 20:.0f} MiB, above FALLBACK_MAX_BYTES = "
+            f"{FALLBACK_MAX_BYTES / 2 ** 20:.0f} MiB")
 
 
 def _tc_entries(n: int):

@@ -16,7 +16,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericalFailure
-from .linalg import THETA_SYM_TOL, THETA_UNITARY_TOL, MatrixCheck, check_symmetric_unitary
+from .linalg import (
+    THETA_SYM_TOL,
+    THETA_UNITARY_TOL,
+    MatrixCheck,
+    TridiagonalLDL,
+    check_symmetric_unitary,
+)
 
 DEFAULT_Z0 = 50.0
 _EPS = np.finfo(float).eps
@@ -275,44 +281,74 @@ def _check_symmetric(values: np.ndarray) -> None:
 class ScatteringMatrix:
     """Symmetric unitary scattering matrix, held in its susceptance's layout.
 
-    blocks holds one (index, theta) entry per block width, in the layout of
-    the SusceptanceMatrix it was mapped from, a lone block without its
-    leading axis; a tridiagonal B's Theta is one dense block of width n.
-    factors holds one (index, q, core) entry per factored width: a group's
-    block of Theta is I + Q (Theta_S - I) Q^T, with Theta_S the r x r core.
-    Every entry outside the groups is zero.  Each width's stack of blocks
-    is checked at construction by linalg.check_symmetric_unitary, against
-    the absolute THETA_SYM_TOL and THETA_UNITARY_TOL; as the off-block
-    entries of Theta and Theta^H Theta are exactly zero, that is the check
-    of the dense matrix.  Each stack of cores goes through the same call,
-    and its defects bound those of the dense groups (_factored_check).
-    The defects are the maximum over both.  .matrix builds the dense Theta
-    only on request, and apply() costs O(w r) per factored group.
+    The layout is one of three:
+
+    - blocks holds one (index, theta) entry per block width, in the layout
+      of the SusceptanceMatrix it was mapped from, a lone block without its
+      leading axis.  Each width's stack is checked at construction by
+      linalg.check_symmetric_unitary, against the absolute THETA_SYM_TOL
+      and THETA_UNITARY_TOL; as the off-block entries of Theta and Theta^H
+      Theta are exactly zero, that is the check of the dense matrix.
+    - factors, beside the blocks, holds one (index, q, core) entry per
+      factored width: a group's block of Theta is I + Q (Theta_S - I) Q^T,
+      with Theta_S the r x r core.  Each stack of cores goes through the
+      same call, and its defects bound those of the dense groups
+      (_factored_check).
+    - ldl, a tridiagonal B's Theta = 2 M^-1 - I as the L D L^T factors of M
+      = I + j z0 B (linalg.TridiagonalLDL).  The construction check is
+      check_symmetric_unitary's O(n) bound on the operator of the stored
+      factors; scattering_from_susceptance holds Theta this way only when
+      that bound passes, and otherwise as one dense block from the same
+      factors, the O(n^2) dense sweep, checked in full.
+
+    Every entry outside the groups is zero.  The defects are the maximum
+    over the checks, taken at construction for blocks and factors; for ldl
+    they are those of the dense check .matrix runs, taken when either is
+    first read.  .matrix builds the dense Theta only on request; for ldl it
+    is the dense sweep of _tridiagonal_cayley, checked like a dense block,
+    and raises NumericalFailure when that check fails.  apply() costs O(w
+    r) per factored group and O(n) for ldl.
     """
 
     n: int
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
     factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()
-    symmetry_defect: float = field(default=0.0, init=False)
-    unitarity_defect: float = field(default=0.0, init=False)
+    ldl: TridiagonalLDL | None = None
 
     def __post_init__(self):
+        if self.ldl is not None:
+            if self.blocks or self.factors or self.ldl.pivots.shape != (self.n,):
+                raise InputError(f"tridiagonal factors do not fit the {self.n} elements alone")
+            _verdict([check_symmetric_unitary(self.ldl)])
+            return
         if sum(entry[0].size for entry in self.blocks + self.factors) != self.n:
             raise InputError(f"blocks do not cover the {self.n} elements")
         checks = [check_symmetric_unitary(theta) for _, theta in self.blocks]
         checks += [_factored_check(q, core) for _, q, core in self.factors]
-        sym = max(c.symmetry_defect for c in checks)
-        uni = max(c.unitarity_defect for c in checks)
-        object.__setattr__(self, "symmetry_defect", sym)
-        object.__setattr__(self, "unitarity_defect", uni)
-        if not all(c.ok for c in checks):
-            raise NumericalFailure(
-                f"scattering matrix check failed: symmetry defect {sym:.3e}, unitarity defect {uni:.3e}"
-            )
+        object.__setattr__(self, "_defects", _verdict(checks))
+
+    @property
+    def symmetry_defect(self) -> float:
+        """Max-abs-entry defect of Theta - Theta^T, or a bound on it."""
+        return self._dense_defects()[0]
+
+    @property
+    def unitarity_defect(self) -> float:
+        """Max-abs-entry defect of Theta^H Theta - I, or a bound on it."""
+        return self._dense_defects()[1]
+
+    def _dense_defects(self) -> tuple[float, float]:
+        if "_defects" not in self.__dict__:
+            self.matrix  # the ldl layout's dense check runs with its dense Theta
+        return self._defects
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense n x n Theta."""
+        if self.ldl is not None:
+            theta = _tridiagonal_cayley(self.ldl)
+            object.__setattr__(self, "_defects", _verdict([check_symmetric_unitary(theta)]))
+            return theta
         expanded = []
         for index, q, core in self.factors:
             m = core - np.eye(core.shape[-1])
@@ -320,7 +356,9 @@ class ScatteringMatrix:
         return _dense(self.n, self.blocks + tuple(expanded), complex)
 
     def apply(self, x) -> np.ndarray:
-        """Theta x, block by block and group by group."""
+        """Theta x, block by block and group by group, or by the L D L^T sweeps."""
+        if self.ldl is not None:
+            return _ldl_apply(self.ldl, x)
         y = np.empty(self.n, dtype=complex)
         for index, theta in self.blocks:
             # a batched matmul, not an elementwise product, even at width 1:
@@ -332,6 +370,17 @@ class ScatteringMatrix:
             t = q.swapaxes(-1, -2) @ xg[..., None]
             y[index] = xg + (q @ (core @ t - t))[..., 0]
         return y
+
+
+def _verdict(checks) -> tuple[float, float]:
+    """(symmetry, unitarity) defects, the maximum over the checks; raises if one fails."""
+    sym = max(c.symmetry_defect for c in checks)
+    uni = max(c.unitarity_defect for c in checks)
+    if not all(c.ok for c in checks):
+        raise NumericalFailure(
+            f"scattering matrix check failed: symmetry defect {sym:.3e}, unitarity defect {uni:.3e}"
+        )
+    return sym, uni
 
 
 def _factored_check(q: np.ndarray, core: np.ndarray) -> MatrixCheck:
@@ -394,18 +443,25 @@ def scattering_from_susceptance(b, z0: float = DEFAULT_Z0) -> ScatteringMatrix:
     its r x r core: by the Woodbury identity (I + j z0 Q S Q^T)^-1 = I +
     Q ((I + j z0 S)^-1 - I) Q^T, so Theta = I + Q (Theta_S - I) Q^T with
     Theta_S = (I + j z0 S)^-1 (I - j z0 S), the Cayley map of S, solved
-    like a width-r block.  A tridiagonal B given as its bands maps to one
-    dense width-n block by an O(n^2) Thomas sweep (_tridiagonal_cayley),
-    with no dense solve.  No dense n x n Theta is formed for a block or
-    factored pattern unless .matrix is read.  For real symmetric B the
-    result is symmetric unitary up to rounding; the construction check
-    enforces that.
+    like a width-r block.  A tridiagonal B given as its bands maps to the
+    L D L^T factors of I + j z0 B (_tridiagonal_ldl), held as the operator
+    2 (L D L^T)^-1 - I and checked by the O(n) bound; only when the bound
+    fails THETA_UNITARY_TOL does Theta fall back to one dense width-n block
+    from the O(n^2) sweep of the same factors, checked in full.  No dense n
+    x n Theta is formed on the other paths unless .matrix is read.  For
+    real symmetric B the result is symmetric unitary up to rounding; the
+    construction check enforces that.
     """
     if not isinstance(b, SusceptanceMatrix):
         b = SusceptanceMatrix(b)
     _check_z0(z0)
     if b.bands is not None:
-        return ScatteringMatrix(b.n, ((np.arange(b.n), _tridiagonal_cayley(*b.bands, z0)),))
+        diag, coupling = b.bands
+        ldl = _tridiagonal_ldl(1.0 + 1j * z0 * diag, 1j * z0 * coupling)
+        try:
+            return ScatteringMatrix(b.n, ldl=ldl)
+        except NumericalFailure:
+            return ScatteringMatrix(b.n, ((np.arange(b.n), _tridiagonal_cayley(ldl)),))
     blocks = tuple((index, _cayley(values, z0)) for index, values in b.blocks)
     factors = tuple((index, q, _cayley(s, z0)) for index, q, s in b.factors)
     return ScatteringMatrix(b.n, blocks, factors)
@@ -424,42 +480,72 @@ def _cayley(values: np.ndarray, z0: float) -> np.ndarray:
         raise NumericalFailure(f"scattering solve failed: {exc}") from exc
 
 
-def _tridiagonal_cayley(diag, coupling, z0: float) -> np.ndarray:
-    """Dense Theta = 2 (I + j z0 B)^-1 - I of a tridiagonal B, in O(n^2).
+def _tridiagonal_ldl(a: np.ndarray, c: np.ndarray) -> TridiagonalLDL:
+    """L D L^T factors of the complex symmetric tridiagonal M with diagonal a and couplings c, in O(n).
 
-    M = I + j z0 B is complex symmetric tridiagonal, with diagonal a_k =
-    1 + j z0 B_kk and couplings c_k = j z0 B_{k,k+1}.  It factors as M = LU
-    with no row exchanges: L lower bidiagonal with the pivots u_k on its
-    diagonal and c_{k-1} below it, U unit upper bidiagonal with c_k / u_k
-    above it, u_0 = a_0 and u_k = a_k - c_{k-1}^2 / u_{k-1}.  No pivot
-    vanishes, as Re M = I gives Re u_k = 1 + z0^2 B_{k-1,k}^2 Re(u_{k-1}) /
-    |u_{k-1}|^2 >= 1.  A forward sweep builds 2 L^-1 row by row, and a
-    back substitution over its n columns gives 2 M^-1 = U^-1 (2 L^-1):
-    a few numpy row operations per step and no dense solve.  Both
+    It factors with no pivoting: d_0 = a_0, l_k = c_k / d_k and d_{k+1} =
+    a_{k+1} - l_k c_k.  For M = I + j z0 B, a_k = 1 + j z0 B_kk and c_k = j
+    z0 B_{k,k+1}, no pivot vanishes, as Re M = I gives Re d_k = 1 + z0^2
+    B_{k-1,k}^2 Re(d_{k-1}) / |d_{k-1}|^2 >= 1.
+    """
+    a = a.tolist()
+    pivot = a[0]
+    d = [pivot]
+    mult = []
+    for ak, ck in zip(a[1:], c.tolist()):
+        lk = ck / pivot
+        pivot = ak - lk * ck
+        mult.append(lk)
+        d.append(pivot)
+    return TridiagonalLDL(np.array(d), np.array(mult, dtype=complex), c)
+
+
+def _tridiagonal_cayley(f: TridiagonalLDL) -> np.ndarray:
+    """Dense Theta = 2 M^-1 - I from the factors of M, in O(n^2).
+
+    With the pivots on L's diagonal (Crout form), M = L U: L lower
+    bidiagonal with d_k on its diagonal and c_{k-1} below it, U unit upper
+    bidiagonal with l_k above it.  A forward sweep builds 2 L^-1 row by
+    row, and a back substitution over its n columns gives 2 M^-1 = U^-1
+    (2 L^-1): a few numpy row operations per step and no dense solve.  Both
     triangles come out of the sweeps, neither mirrored from the other, so
     the symmetry check of Theta still measures the rounding.
     """
-    n = diag.size
-    a = (1.0 + 1j * z0 * diag).tolist()
-    c = (1j * z0 * coupling).tolist()
-    u = [a[0]]
-    for k in range(1, n):
-        u.append(a[k] - c[k - 1] / u[k - 1] * c[k - 1])
+    u = f.pivots.tolist()
+    c = f.couplings.tolist()
+    mult = f.multipliers.tolist()
+    n = len(u)
     theta = np.zeros((n, n), dtype=complex)
     rows = list(theta)
-    # forward sweep: row k of 2 L^-1 is -(c_{k-1} / u_k) times row k - 1,
-    # plus 2 / u_k on the diagonal
+    # forward sweep: row k of 2 L^-1 is -(c_{k-1} / d_k) times row k - 1,
+    # plus 2 / d_k on the diagonal
     rows[0][0] = 2.0 / u[0]
     for k in range(1, n):
         np.multiply(rows[k - 1], -c[k - 1] / u[k], out=rows[k])
         rows[k][k] = 2.0 / u[k]
-    # back substitution: row k -= (c_k / u_k) row k + 1
+    # back substitution: row k -= l_k row k + 1
     scaled = np.empty(n, dtype=complex)
     for k in range(n - 2, -1, -1):
-        np.multiply(rows[k + 1], c[k] / u[k], out=scaled)
+        np.multiply(rows[k + 1], mult[k], out=scaled)
         np.subtract(rows[k], scaled, out=rows[k])
     theta.flat[:: n + 1] -= 1.0
     return theta
+
+
+def _ldl_apply(f: TridiagonalLDL, x) -> np.ndarray:
+    """2 M^-1 x - x with M = L D L^T: two bidiagonal sweeps and a diagonal scaling, O(n)."""
+    mult = f.multipliers.tolist()
+    y = []
+    prev = 0j
+    for xk, lk in zip(x.tolist(), [0j] + mult):  # L y = x
+        prev = xk - lk * prev
+        y.append(prev)
+    w = []
+    prev = 0j
+    for zk, lk in zip(reversed((np.array(y) / f.pivots).tolist()), reversed(mult + [0j])):  # L^T w = D^-1 y
+        prev = zk - lk * prev
+        w.append(prev)
+    return 2.0 * np.array(w[::-1]) - x
 
 
 def received_power(pair, theta) -> float:

@@ -18,7 +18,9 @@ groups are solved without it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,19 +94,158 @@ class MatrixCheck:
     ok: bool
 
 
-def check_symmetric_unitary(m) -> MatrixCheck:
-    """Measure how far a square matrix, or a stack of them, is from symmetric unitary.
+class TridiagonalLDL(NamedTuple):
+    """M = L D L^T of a complex symmetric tridiagonal M, with M's couplings.
 
-    Defects are max-abs-entry norms of M - M^T and M^H M - I, the maximum
-    over the stack for shape (g, w, w); the check passes when they are
-    within THETA_SYM_TOL and THETA_UNITARY_TOL.
+    pivots (n,) is D's diagonal d_k and multipliers (n - 1,) is L's unit
+    lower bidiagonal's subdiagonal l_k = c_k / d_k, with c_k = M_{k,k+1} =
+    M_{k+1,k} the couplings (n - 1,).  The scattering operator it stands for
+    is Theta' = 2 (L D L^T)^-1 - I of the stored pivots and multipliers.
     """
+
+    pivots: np.ndarray
+    multipliers: np.ndarray
+    couplings: np.ndarray
+
+
+def check_symmetric_unitary(m) -> MatrixCheck:
+    """Measure how far a square matrix, a stack of them, or a Cayley operator is from symmetric unitary.
+
+    For a matrix, defects are max-abs-entry norms of M - M^T and M^H M - I,
+    the maximum over the stack for shape (g, w, w).  For a TridiagonalLDL,
+    they are bounds on those of Theta' = 2 (L D L^T)^-1 - I in O(n) work
+    (_tridiagonal_bound): the dense matrix is never formed.  The check
+    passes when the defects are within THETA_SYM_TOL and THETA_UNITARY_TOL.
+
+    ScatteringMatrix takes the bound at construction for a tridiagonal B
+    (tc).  When the bound exceeds THETA_UNITARY_TOL, the Cayley map falls
+    back to the dense Theta and its matrix check; reading .matrix of the
+    operator runs the matrix check on the dense Theta too.
+    """
+    if isinstance(m, TridiagonalLDL):
+        return _tridiagonal_bound(m)
     m = np.asarray(m, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise InputError(f"expected a nonempty square matrix or stack of them, got shape {m.shape}")
     sym = float(np.max(np.abs(m - m.swapaxes(-1, -2))))
     uni = float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))))
     return MatrixCheck(sym, uni, sym <= THETA_SYM_TOL and uni <= THETA_UNITARY_TOL)
+
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _tridiagonal_bound(f: TridiagonalLDL) -> MatrixCheck:
+    """Defects of Theta' = 2 M'^-1 - I, M' = L D L^T exactly from the stored factors.
+
+    Symmetry: M' is symmetric for any pivots and multipliers, so is
+    Theta', and its symmetry defect is 0.
+
+    Unitarity: with Herm(M') = (M' + M'^H) / 2 and H = Herm(M') - I,
+    Theta'^H Theta' - I = 4 M'^-H M'^-1 - 2 M'^-H - 2 M'^-1 = -4 M'^-H H
+    M'^-1.  As M' is symmetric, Herm(M') is Re M' entrywise, so H is real
+    symmetric tridiagonal, zero in exact arithmetic on M = I + j z0 B
+    (_row_bounds gives its entries).  Take rho_k >= sum_l |H_kl| and h =
+    max_k rho_k >= ||H||_2.  If h < 1, then Re(x^H M' x) = x^H (I + H) x >=
+    (1 - h) ||x||^2 for every x, so ||M' x|| >= (1 - h) ||x||, M' is
+    invertible and G = M'^-1 has ||G||_2 <= 1 / (1 - h).  Hence max
+    |Theta'^H Theta' - I|_ij <= 4 ||G||_2^2 ||H||_2 <= 4 h / (1 - h)^2.
+
+    That plain bound is loose where a pivot is large, as the rounding
+    allowance of H_kk grows with |d_k| while G is small there.  When it
+    fails THETA_UNITARY_TOL, the bound is the smaller of it and
+    _weighted_bound, which weighs each row of H by G's diagonal.  A
+    non-finite value or h >= 1 gives an infinite bound.  All of it is O(n)
+    work, the weighted bound's sort aside.
+    """
+    rho, lsq = _row_bounds(f)
+    h = float(np.max(rho))
+    if not h < 1.0:
+        return MatrixCheck(0.0, math.inf, False)
+    uni = 4.0 * h / (1.0 - h) ** 2 * (1.0 + 4.0 * _EPS)
+    if uni > THETA_UNITARY_TOL:
+        uni = min(uni, _weighted_bound(f, rho, lsq, h))
+    return MatrixCheck(0.0, uni, uni <= THETA_UNITARY_TOL)
+
+
+def _row_bounds(f: TridiagonalLDL) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, |l|^2): upper bounds on the row sums of |H|, and x_k^2 + y_k^2 in floats.
+
+    For d_k = r_k + j s_k and l_k = x_k + j y_k,
+
+        H_{k,k+1} = Re(l_k d_k) = x_k r_k - y_k s_k,
+        H_kk = r_k - 1 + Re(l_{k-1}^2 d_{k-1})
+             = r_k - 1 + (x_{k-1}^2 - y_{k-1}^2) r_{k-1} - 2 x_{k-1} y_{k-1} s_{k-1}
+
+    (no last term for k = 0).  Each entry is taken as the modulus of its
+    float value plus an allowance for its rounding.  An entry that is a sum
+    of products evaluated in m operations is within gamma_m S of its float
+    value, S the same sum over the terms' moduli, gamma_m = m u / (1 - m
+    u), u = eps / 2 (m = 2 off the diagonal, 5 on it); 2 eps S and 4 eps S
+    cover that and the rounding of S.  Gradual underflow adds at most
+    2^-1074 per operation, carried through the later products by factors of
+    at most 2 (|r_{k-1}| + |s_{k-1}|); tiny (1 + |r_{k-1}| + |s_{k-1}|)
+    covers it, tiny = 2^52 2^-1074.  The row sums of these nonnegative
+    terms lose a few more u, covered by the factor (1 + 2 eps).
+    """
+    r, s = f.pivots.real, f.pivots.imag
+    x, y = f.multipliers.real, f.multipliers.imag
+    rp, sp = r[:-1], s[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.abs(x * rp - y * sp) + 2.0 * _EPS * (np.abs(x * rp) + np.abs(y * sp)) + _TINY
+        diag = r - 1.0
+        size = np.abs(r) + 1.0
+        lsq = x * x + y * y
+        xy = x * y
+        diag[1:] += (x * x - y * y) * rp - 2.0 * xy * sp
+        size[1:] += lsq * np.abs(rp) + 2.0 * np.abs(xy) * np.abs(sp)
+        rows = np.abs(diag) + 4.0 * _EPS * size + _TINY
+        rows[1:] += _TINY * (np.abs(rp) + np.abs(sp))
+        rows[:-1] += off
+        rows[1:] += off
+        rows *= 1.0 + 2.0 * _EPS
+    return rows, lsq
+
+
+def _weighted_bound(f: TridiagonalLDL, rho: np.ndarray, lsq: np.ndarray, h: float) -> float:
+    """A bound on max |Theta'^H Theta' - I|_ij that weighs row k of H by |G_kk|, for h < 1.
+
+    With g_k the columns of the symmetric G = M'^-1:
+
+    - |g_i^H H g_j| <= sum_kl |G_ki| |H_kl| |G_lj| <= (sum_k rho_k |G_ki|^2
+      + sum_l rho_l |G_lj|^2) / 2 by |ab| <= (a^2 + b^2) / 2, and for any
+      tau >= 0, sum_k rho_k |G_ki|^2 <= tau ||g_i||^2 + sum_{rho_k > tau}
+      rho_k ||g_k||^2, as |G_ki| = |G_ik| <= ||g_k||.
+    - g_k^H M' g_k = g_k^H e_k = conj(G_kk), whose real part is g_k^H (I +
+      H) g_k >= (1 - h) ||g_k||^2, so ||g_k||^2 <= |G_kk| / (1 - h).
+    - From L^T G = D^-1 L^-1 (lower triangular, diagonal 1 / d_k), G_kk +
+      l_k G_{k+1,k} = 1 / d_k and G_{k,k+1} + l_k G_{k+1,k+1} = 0, so G_kk
+      = 1 / d_k + l_k^2 G_{k+1,k+1} with G_{n-1,n-1} = 1 / d_{n-1}.  With
+      |G_kk| <= ||G||_2 <= 1 / (1 - h) = c, the capped recursion w_k =
+      min(c, 1 / max(|r_k|, |s_k|) + |l_k|^2 w_{k+1}) bounds |G_kk|.
+
+    So the defect is at most 4 / (1 - h) (tau max_k w_k + sum_{rho_k > tau}
+    rho_k w_k), minimized here over tau in {0} and the rho_k.  Every term
+    is nonnegative, so the float recursion, each step at most 4 roundings
+    and min with c raised by 4 eps, stays within (1 - u)^(4n) of the exact
+    one, and the sums and products after it within a few (n + 2) u; the
+    factor (1 + 16 (n + 2) eps) covers both.
+    """
+    n = rho.size
+    cap = 1.0 / (1.0 - h) * (1.0 + 4.0 * _EPS)
+    with np.errstate(divide="ignore"):
+        inv = (1.0 / np.maximum(np.abs(f.pivots.real), np.abs(f.pivots.imag))).tolist()
+    step = lsq.tolist()
+    w = [min(inv[-1], cap)] * n
+    for k in range(n - 2, -1, -1):
+        w[k] = min(inv[k] + step[k] * w[k + 1], cap)
+    w = np.array(w)
+    order = np.argsort(-rho)
+    ranked = rho[order]
+    prefix = np.concatenate([[0.0], np.cumsum(ranked * w[order])])
+    weighted = min(float(np.min(ranked * w.max() + prefix[:-1])), float(prefix[-1]))
+    return 4.0 / (1.0 - h) * weighted * (1.0 + 16.0 * (n + 2) * _EPS)
 
 
 def real_ratio(z1, z2, floor: float = 0.0):

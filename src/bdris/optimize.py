@@ -125,7 +125,8 @@ def optimize_tc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
     when a 2x2 block is near-singular or the recursion's residual fails
     CONSISTENT_RTOL (the adversarial set).  Either way B is handed over as
     its bands, the diagonal and the couplings, with no dense n x n B, and
-    its Theta comes from the Cayley map's O(n^2) tridiagonal sweep.  Needs
+    its Theta is the Cayley map's O(n) operator on the L D L^T factors of I
+    + j z0 B (or, when their bound fails, the O(n^2) dense sweep).  Needs
     n >= 2; optimize() serves n = 1 by sc's closed form.
     """
     n = pair.n

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -147,15 +147,25 @@ def pattern_mask(spec: ArchitectureSpec) -> np.ndarray:
     return mask
 
 
-def groups_by_width(cuts, n: int) -> list[np.ndarray]:
+def groups_by_width(cuts, n: int) -> tuple[np.ndarray, ...]:
     """Element index of the cut partition's groups, one (g, w) array per width w.
 
     Row i of a width's array holds the elements of its i-th group of that
-    width.  Widths come in increasing order.
+    width.  Widths come in increasing order.  The arrays are cached per
+    (cuts, n) and read-only.
     """
+    return _partition(tuple(cuts), n)[1]
+
+
+@lru_cache(maxsize=256)
+def _partition(cuts: tuple, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(group starts, groups by width) of the cut partition, as read-only arrays."""
     spans = np.array(partition_from_cuts(cuts, n))
     starts, widths = spans[:, 0], spans[:, 1] - spans[:, 0]
-    return [starts[widths == w][:, None] + np.arange(w) for w in sorted(set(widths.tolist()))]
+    groups = tuple(starts[widths == w][:, None] + np.arange(w) for w in sorted(set(widths.tolist())))
+    for array in (starts, *groups):
+        array.flags.writeable = False
+    return starts, groups
 
 
 def _dense(n: int, blocks, dtype) -> np.ndarray:
@@ -273,7 +283,8 @@ class SusceptanceMatrix:
 def _check_symmetric(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise InputError("susceptance entries must be finite")
-    if not np.array_equal(values, values.swapaxes(-1, -2)):
+    # a stack of width-1 blocks (all of sc) is its own transpose
+    if values.shape[-1] > 1 and not np.array_equal(values, values.swapaxes(-1, -2)):
         raise InputError("susceptance matrix must be exactly symmetric")
 
 
@@ -572,10 +583,20 @@ def upper_bound_gc(pair, cuts) -> float:
     of underflow), so the all-singleton partition gives sc's bound
     (sum_i |h_r,i| |h_t,i|)^2 bit for bit.
     """
-    starts = [lo for lo, _ in partition_from_cuts(cuts, pair.n)]
-    nr = np.sqrt(np.add.reduceat(np.abs(pair.h_r) ** 2, starts))
-    nt = np.sqrt(np.add.reduceat(np.abs(pair.h_t) ** 2, starts))
-    return float(np.sum(nr * nt) ** 2)
+    return _group_bounds(pair.h_r, pair.h_t, cuts, pair.n)[0]
+
+
+def _group_bounds(h_r, h_t, cuts, n: int) -> list[float]:
+    """upper_bound_gc of each pair of size n in channels concatenated pair after pair.
+
+    Every group norm is a reduceat segment and every pair's sum a row of a
+    contiguous array, so each bound rounds as it does for the pair alone.
+    """
+    count = h_r.size // n
+    starts = (_partition(tuple(cuts), n)[0] + n * np.arange(count)[:, None]).ravel()
+    nr = np.sqrt(np.add.reduceat(np.abs(h_r) ** 2, starts))
+    nt = np.sqrt(np.add.reduceat(np.abs(h_t) ** 2, starts))
+    return [float(s ** 2) for s in (nr * nt).reshape(count, -1).sum(axis=1)]
 
 
 def _check_z0(z0) -> None:

@@ -1,10 +1,11 @@
 """Monte Carlo harness: scenario sweeps over sizes, trials, architectures.
 
 One channel pair is drawn per (size, trial) from its own derived seed and
-shared by every architecture, so architectures see paired trials.  Records
-are a pure function of the configuration, whatever the worker cap.  Every
-draw, here and in the CLI's gen and oracle commands, goes through
-SCENARIO_TABLE.
+shared by every architecture, so architectures see paired trials.  Each
+(size, architecture) cell is solved by one optimize_trials call over the
+size's pairs.  Records are a pure function of the configuration, whatever
+the worker cap.  Every draw, here and in the CLI's gen and oracle commands,
+goes through SCENARIO_TABLE.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from .channel import (
     splitmix64,
 )
 from .errors import InputError, NumericalFailure
-from .optimize import optimize
+# optimize is not called here, but stays importable by this name: the
+# benchmark tracer (perfbench/tracer.py) wraps bdris.experiment.optimize
+from .optimize import optimize, optimize_trials
 
 DEFAULT_SIZES = (8, 16, 24, 32, 40, 48, 56, 64)
 DEFAULT_TRIALS = 1000
@@ -208,8 +211,15 @@ def resolve_archs(config: ExperimentConfig) -> dict[int, list[ArchitectureSpec]]
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
     """All trial records, ordered by (size, trial, arch position).
 
-    threads is a worker cap; trials run in order on the calling thread,
-    which meets every cap.
+    Per size, the pairs are drawn (and their membership tested) in trial
+    order, then each architecture solves all of them in one optimize_trials
+    call.  When a NumericalFailure or InputError leaves a size, the size is
+    solved again one trial at a time, so the error raised is that of the
+    first failing (trial, arch) in record order, a NumericalFailure naming
+    its scenario, n, trial, arch and trial seed.  A draw that fails raises
+    after the trials drawn before it are solved, as if the trials ran one
+    by one.  threads is a worker cap; everything runs in order on the
+    calling thread, which meets every cap.
     """
     archs_by_size = resolve_archs(config)
     scenario = SCENARIO_TABLE[config.scenario]
@@ -217,17 +227,21 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialReco
         raise InputError(f"thread count must be positive, got {threads}")
     records = []
     for si, n in enumerate(config.sizes):
+        drawn = []
+        failed_draw = None
         for t in range(config.trials):
             seed = mix64(config.seed, si, t)
-            pair, label = scenario.draw(n, Rng(seed), config.group_size, config.q_override)
-            in_a = is_tc_adversarial(pair).in_a if config.check_membership else None
-            for arch_label, spec in zip(config.archs, archs_by_size[n]):
-                try:
-                    result = optimize(pair, spec, config.z0)
-                except NumericalFailure as exc:
-                    raise NumericalFailure(
-                        f"{exc} (scenario {label}, n = {n}, trial {t}, arch {arch_label}, "
-                        f"trial seed {seed})") from exc
+            try:
+                pair, label = scenario.draw(n, Rng(seed), config.group_size, config.q_override)
+                in_a = is_tc_adversarial(pair).in_a if config.check_membership else None
+            except (InputError, NumericalFailure) as exc:
+                failed_draw = exc
+                break
+            drawn.append((seed, pair, label, in_a))
+        cells = _solve_size(config, n, archs_by_size[n], drawn)
+        for t, (seed, pair, label, in_a) in enumerate(drawn):
+            for arch_label, results in zip(config.archs, cells):
+                result = results[t]
                 records.append(TrialRecord(
                     scenario=label,
                     n=n,
@@ -241,7 +255,35 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialReco
                     consistent=result.consistent,
                     in_a=in_a,
                 ))
+        if failed_draw is not None:
+            raise failed_draw
     return records
+
+
+def _solve_size(config: ExperimentConfig, n: int, specs, drawn) -> list:
+    """Per architecture, the results of the drawn (seed, pair, label, in_a) trials.
+
+    A stacked call fails when any of its pairs would fail alone, so on
+    failure the trials run again one at a time, architecture by
+    architecture, until the first failing one raises.
+    """
+    pairs = [pair for _, pair, _, _ in drawn]
+    try:
+        return [optimize_trials(pairs, spec, config.z0) for spec in specs]
+    except (InputError, NumericalFailure):
+        pass
+    by_trial = []
+    for t, (seed, pair, label, _) in enumerate(drawn):
+        row = []
+        for arch_label, spec in zip(config.archs, specs):
+            try:
+                row += optimize_trials([pair], spec, config.z0)
+            except NumericalFailure as exc:
+                raise NumericalFailure(
+                    f"{exc} (scenario {label}, n = {n}, trial {t}, arch {arch_label}, "
+                    f"trial seed {seed})") from exc
+        by_trial.append(row)
+    return list(zip(*by_trial))
 
 
 def summarize(records) -> list[SummaryRow]:

@@ -281,15 +281,26 @@ def proportional_adjacencies(s) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """1-based adjacencies of s whose neighbors are real-proportional.
 
     Proportionality is real_ratio's test, with an entry counting as zero
-    against ZERO_FLOOR_REL * max|s|.  Returns (cuts, gammas) with gammas[k]
-    the real ratio of entry cuts[k] over entry cuts[k] + 1.
+    against ZERO_FLOOR_REL * max|s|, evaluated for all adjacencies at once
+    by the same float operations: moduli by hypot, as Python's abs of a
+    complex, and z1 conj(z2) from its real and imaginary parts.  Returns
+    (cuts, gammas) with gammas[k] the real ratio of entry cuts[k] over
+    entry cuts[k] + 1.
     """
-    floor = ZERO_FLOOR_REL * float(np.max(np.abs(s)))
-    cuts = []
-    gammas = []
-    for i in range(len(s) - 1):
-        gamma = real_ratio(s[i], s[i + 1], floor)
-        if gamma is not None:
-            cuts.append(i + 1)
-            gammas.append(float(gamma))
-    return tuple(cuts), tuple(gammas)
+    s = np.asarray(s, dtype=complex)
+    floor = ZERO_FLOOR_REL * float(np.abs(s).max())
+    x, y = s.real, s.imag
+    a = np.hypot(x, y)
+    m = np.maximum(np.maximum(a[:-1], a[1:]), floor)
+    tol = PROPORTIONAL_TOL * m
+    zero = a[:-1] <= tol
+    cross_im = y[:-1] * x[1:] - x[:-1] * y[1:]
+    # both entries zero, or neither zero and the cross product within tol m
+    keep = np.flatnonzero((zero == (a[1:] <= tol)) & (zero | (np.abs(cross_im) <= tol * m)))
+    if not keep.size:
+        return (), ()
+    gammas = np.ones(keep.size)
+    nonzero = ~zero[keep]
+    i = keep[nonzero]
+    gammas[nonzero] = (x[i] * x[i + 1] + y[i] * y[i + 1]) / (a[i + 1] * a[i + 1])
+    return tuple((keep + 1).tolist()), tuple(gammas.tolist())

@@ -14,6 +14,13 @@ pattern's system is solved by a structured method:
   one group among them) is handed over as its factors, never as a dense
   block.
 
+optimize_trials solves many pairs of one size at once.  For sc, gc and fc
+it stacks the pairs into one channel and repeats the cut partition once per
+pair (_solve_blocks): every group is normalized and solved on its own, so
+the groups of different pairs are groups like any other, and each width is
+solved, mapped and checked once for the whole stack.  optimize() is the
+same core at one pair; tc runs pair by pair.
+
 Stacking real and imaginary parts turns any of these systems into an
 ordinary real least-squares problem, solved by SVD as the fallback.  The
 fallback solves a whole tc system, or one gc group, when the structured
@@ -28,7 +35,7 @@ well-behaved heuristic when it is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +47,12 @@ from .architecture import (
     ScatteringMatrix,
     SusceptanceMatrix,
     _check_z0,
+    _group_bounds,
     groups_by_width,
     pattern_mask,
     received_power,
     scattering_from_susceptance,
     upper_bound_full,
-    upper_bound_gc,
 )
 from .channel import ChannelPair, Rng, normalize
 from .errors import InputError, NumericalFailure
@@ -68,6 +75,9 @@ _FACTOR_RANK = 4
 # (about 8.6 GB at w = 1024).  Above this many bytes it raises
 # NumericalFailure instead of allocating it.
 FALLBACK_MAX_BYTES = 2 ** 28
+# optimize_trials stacks at most this many surface elements (pairs times n,
+# at least one pair) into one solve, which bounds its memory.
+_STACK_ELEMENTS = 2 ** 14
 # Group with || hr_hat + ht_hat || below this is degenerate (opposite unit
 # vectors); the linear system vanishes and per-element phasing takes over.
 _DEGENERATE_GROUP_TOL = 1e-10
@@ -91,17 +101,23 @@ class LinearSystem:
 
 
 @dataclass(frozen=True)
-class OptimizeResult:
-    """Outcome of one architecture-constrained optimization."""
+class TrialResult:
+    """The figures of one pair's optimization: received power, bounds, residual."""
 
-    b_matrix: SusceptanceMatrix
-    theta: ScatteringMatrix
     p_r: float
     p_bar_full: float
     p_bar_arch: float
     ratio_full: float
     residual_norm: float
     consistent: bool
+
+
+@dataclass(frozen=True)
+class OptimizeResult(TrialResult):
+    """Outcome of one architecture-constrained optimization, with its B and Theta."""
+
+    b_matrix: SusceptanceMatrix
+    theta: ScatteringMatrix
 
 
 def build_tc_system(pair: ChannelPair, z0: float = DEFAULT_Z0) -> LinearSystem:
@@ -156,22 +172,7 @@ def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0) -> OptimizeResu
     than 4 (all of fc's one group, at n >= 5) is held as its rank-4
     factors Q S Q^T, whose Theta comes from a 4 x 4 Cayley map.
     """
-    _check_z0(z0)
-    blocks = []
-    factors = []
-    worst_residual = 0.0
-    scale = 0.0
-    for idx in groups_by_width(cuts, pair.n):
-        dense, factored, residuals, rhs_norms = _solve_groups(idx, pair.h_r, pair.h_t, z0)
-        if dense is not None:
-            blocks.append(dense)
-        if factored is not None:
-            factors.append(factored)
-        worst_residual = max(worst_residual, float(residuals.max()))
-        scale = max(scale, float(rhs_norms.max()))
-    consistent = worst_residual <= CONSISTENT_RTOL * scale if scale > 0.0 else True
-    b = SusceptanceMatrix(tuple(blocks), factors=tuple(factors))
-    return _finish(pair, b, z0, upper_bound_gc(pair, cuts), worst_residual, consistent)
+    return _result(_solve_blocks([pair], cuts, z0))
 
 
 def optimize_sc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
@@ -182,28 +183,125 @@ def optimize_sc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
     bound (sum_i |h_r,i| |h_t,i|)^2 is met up to the phase clamp.  B holds
     the diagonal as one stack of width-1 blocks.
     """
-    _check_z0(z0)
-    d = _phase_align_susceptance(pair.h_r, pair.h_t, z0)
-    p_bar_arch = float(np.sum(np.abs(pair.h_r) * np.abs(pair.h_t)) ** 2)
-    b = SusceptanceMatrix(((np.arange(pair.n)[:, None], d[:, None, None]),))
-    return _finish(pair, b, z0, p_bar_arch, 0.0, True)
+    return _result(_solve_blocks([pair], None, z0))
 
 
 def optimize(pair: ChannelPair, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> OptimizeResult:
-    """Run the optimizer matching the architecture kind.
+    """Run the optimizer matching the architecture kind: optimize_trials at one pair, with B and Theta.
 
     A one-element tridiagonal surface is the single-connected one, so tc at
     n = 1 takes sc's closed form, whose bound equals the full one there.
     """
-    if spec.n != pair.n:
-        raise InputError(f"architecture is for n = {spec.n}, channels have n = {pair.n}")
-    if spec.kind == KIND_SINGLE:
-        return optimize_sc(pair, z0)
-    if spec.kind == KIND_TREE:
-        if pair.n == 1:
-            return replace(optimize_sc(pair, z0), p_bar_arch=upper_bound_full(pair))
+    _check_sizes([pair], spec)
+    if spec.kind == KIND_TREE and spec.n > 1:
         return optimize_tc(pair, z0)
-    return optimize_gc(pair, spec.effective_cuts, z0)
+    return _result(_block_cell([pair], spec, z0))
+
+
+def optimize_trials(pairs, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> list[TrialResult]:
+    """The TrialResult of every pair of a sequence, all of size spec.n, in order.
+
+    sc, gc and fc solve the pairs stacked, up to _STACK_ELEMENTS elements
+    at a time (_solve_blocks); each pair's figures are bit for bit those
+    optimize() gives it alone.  The stacked Theta passes its construction
+    check only if every pair's own Theta would, so a NumericalFailure here
+    means some pair fails: a caller that needs to know which runs the pairs
+    one at a time.  tc runs optimize_tc pair by pair.
+    """
+    _check_sizes(pairs, spec)
+    if spec.kind == KIND_TREE and spec.n > 1:
+        return [TrialResult(*_figures(optimize_tc(pair, z0))) for pair in pairs]
+    step = max(1, _STACK_ELEMENTS // spec.n)
+    return [TrialResult(*row) for lo in range(0, len(pairs), step)
+            for row in _block_cell(pairs[lo:lo + step], spec, z0)[2]]
+
+
+def _check_sizes(pairs, spec: ArchitectureSpec) -> None:
+    for pair in pairs:
+        if spec.n != pair.n:
+            raise InputError(f"architecture is for n = {spec.n}, channels have n = {pair.n}")
+
+
+def _block_cell(pairs, spec: ArchitectureSpec, z0: float):
+    """_solve_blocks for the architecture: sc, tc at n = 1 (sc with the full bound), gc or fc."""
+    if spec.kind == KIND_SINGLE:
+        return _solve_blocks(pairs, None, z0)
+    if spec.kind == KIND_TREE:
+        b, theta, rows = _solve_blocks(pairs, None, z0)
+        return b, theta, [(p_r, full, full, *rest) for p_r, full, _, *rest in rows]
+    return _solve_blocks(pairs, spec.effective_cuts, z0)
+
+
+def _solve_blocks(pairs, cuts, z0: float):
+    """(B, Theta, rows) of sc (cuts None) or of the cut partition, for equal-size pairs stacked.
+
+    The pairs are concatenated into one channel of len(pairs) n elements.
+    sc phase-aligns it entry by entry; otherwise the cut partition is
+    repeated once per pair and each width's groups, of every pair, go
+    through one _solve_groups call.  B and Theta hold the whole stack, so
+    the Cayley map and its construction check run once per width.  Every
+    step works group by group, so a pair's blocks, residuals and slice of
+    Theta h_t are those it gets alone.  rows holds one (p_r, p_bar_full,
+    p_bar_arch, ratio_full, residual_norm, consistent) per pair: p_r from
+    the pair's slice of Theta h_t, the residual and its scale the largest
+    over the pair's own groups, and the bounds as the pair rounds them
+    alone (p_bar_full by one upper_bound_full call per pair, as its norms
+    are BLAS dot products).
+    """
+    _check_z0(z0)
+    n, count = pairs[0].n, len(pairs)
+    h_r = _concatenate([pair.h_r for pair in pairs])
+    h_t = _concatenate([pair.h_t for pair in pairs])
+    if cuts is None:
+        d = _phase_align_susceptance(h_r, h_t, z0)
+        b = SusceptanceMatrix(((np.arange(h_r.size)[:, None], d[:, None, None]),))
+        # a row sum rounds like the sum of the pair's own vector
+        bounds = [float(s ** 2) for s in (np.abs(h_r) * np.abs(h_t)).reshape(count, n).sum(axis=1)]
+        residuals = scales = [0.0] * count
+    else:
+        blocks = []
+        factors = []
+        residuals = scales = np.zeros(count)
+        offsets = n * np.arange(count)[:, None, None]
+        for idx in groups_by_width(cuts, n):
+            stacked = (idx + offsets).reshape(-1, idx.shape[1])
+            dense, factored, res, rhs = _solve_groups(stacked, h_r, h_t, z0)
+            if dense is not None:
+                blocks.append(dense)
+            if factored is not None:
+                factors.append(factored)
+            residuals = np.maximum(residuals, res.reshape(count, -1).max(axis=1))
+            scales = np.maximum(scales, rhs.reshape(count, -1).max(axis=1))
+        b = SusceptanceMatrix(tuple(blocks), factors=tuple(factors))
+        bounds = _group_bounds(h_r, h_t, cuts, n)
+        residuals, scales = residuals.tolist(), scales.tolist()
+    theta = scattering_from_susceptance(b, z0)
+    y = theta.apply(h_t)
+    rows = []
+    for t, pair in enumerate(pairs):
+        p_r = float(abs(np.vdot(pair.h_r, y[t * n:(t + 1) * n])) ** 2)
+        p_bar_full = upper_bound_full(pair)
+        residual, scale = residuals[t], scales[t]
+        consistent = residual <= CONSISTENT_RTOL * scale if scale > 0.0 else True
+        rows.append((p_r, p_bar_full, bounds[t], p_r / p_bar_full, residual, consistent))
+    return b, theta, rows
+
+
+def _concatenate(vectors) -> np.ndarray:
+    """The vectors end to end; a single one as it is, uncopied."""
+    return vectors[0] if len(vectors) == 1 else np.concatenate(vectors)
+
+
+def _result(cell) -> OptimizeResult:
+    """The OptimizeResult of a one-pair _solve_blocks."""
+    b, theta, (row,) = cell
+    return OptimizeResult(*row, b_matrix=b, theta=theta)
+
+
+def _figures(result: TrialResult) -> tuple:
+    """(p_r, p_bar_full, p_bar_arch, ratio_full, residual_norm, consistent) of a result."""
+    return (result.p_r, result.p_bar_full, result.p_bar_arch, result.ratio_full,
+            result.residual_norm, result.consistent)
 
 
 @dataclass(frozen=True)
@@ -579,7 +677,7 @@ def _phase_align_susceptance(h_r, h_t, z0: float) -> np.ndarray:
     phase = (phase + np.pi) % (2.0 * np.pi) - np.pi
     phase[(h_r == 0) | (h_t == 0)] = 0.0
     limit = np.pi - _PHASE_MARGIN
-    phase = np.clip(phase, -limit, limit)
+    phase = np.minimum(np.maximum(phase, -limit), limit)  # np.clip's values, without its wrapper
     return -np.tan(0.5 * phase) / z0
 
 

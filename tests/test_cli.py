@@ -144,13 +144,13 @@ GEN_CASES = [(scenario, ()) for scenario in SCENARIOS] + [
 def test_gen_redraws_a_simulate_trial(tmp_path, capsys, monkeypatch, scenario, extra):
     """gen with a trial's scenario, n, seed and parameters writes that trial's pair."""
     drawn = []
-    real = experiment.optimize
+    real = experiment.optimize_trials
 
-    def recording(pair, spec, *args):
-        drawn.append(pair)
-        return real(pair, spec, *args)
+    def recording(pairs, spec, *args):
+        drawn.extend(pairs)
+        return real(pairs, spec, *args)
 
-    monkeypatch.setattr(experiment, "optimize", recording)
+    monkeypatch.setattr(experiment, "optimize_trials", recording)
     options = dict(zip(extra[::2], extra[1::2]))
     config = ExperimentConfig(
         scenario=scenario, sizes=(4, 8), trials=2, archs=("sc",), seed=5,

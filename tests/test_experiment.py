@@ -208,14 +208,14 @@ def test_thread_count_validated():
 def test_trials_run_on_the_calling_thread(monkeypatch):
     """A worker cap above 1 still runs every trial in order on the caller's thread."""
     experiment = importlib.import_module("bdris.experiment")
-    real = experiment.optimize
+    real = experiment.optimize_trials
     threads_seen = []
 
-    def recording(pair, spec, *args):
-        threads_seen.append(threading.get_ident())
-        return real(pair, spec, *args)
+    def recording(pairs, spec, *args):
+        threads_seen.extend([threading.get_ident()] * len(pairs))
+        return real(pairs, spec, *args)
 
-    monkeypatch.setattr(experiment, "optimize", recording)
+    monkeypatch.setattr(experiment, "optimize_trials", recording)
     config = ExperimentConfig(scenario="rayleigh", sizes=(4, 6), trials=5,
                               archs=("sc", "tc"), seed=1)
     run_experiment(config, threads=8)
@@ -223,16 +223,16 @@ def test_trials_run_on_the_calling_thread(monkeypatch):
 
 
 def fail_on_pair(monkeypatch, target, arch_kind):
-    """Make optimize() raise NumericalFailure on one pair and architecture kind."""
+    """Make optimize_trials() raise NumericalFailure on every call holding one pair, for one kind."""
     experiment = importlib.import_module("bdris.experiment")
-    real = experiment.optimize
+    real = experiment.optimize_trials
 
-    def optimize(pair, spec, *args):
-        if spec.kind == arch_kind and np.array_equal(pair.h_r, target.h_r):
+    def optimize_trials(pairs, spec, *args):
+        if spec.kind == arch_kind and any(np.array_equal(p.h_r, target.h_r) for p in pairs):
             raise NumericalFailure("scattering matrix check failed")
-        return real(pair, spec, *args)
+        return real(pairs, spec, *args)
 
-    monkeypatch.setattr(experiment, "optimize", optimize)
+    monkeypatch.setattr(experiment, "optimize_trials", optimize_trials)
 
 
 @pytest.mark.parametrize("threads", (1, 4))

@@ -239,10 +239,10 @@ def test_block_patterns_build_no_dense_theta(label):
 
 
 def test_tc_holds_b_as_bands():
-    # tc hands B over as its two bands and builds its Theta by the O(n^2)
-    # tridiagonal sweep: at n = 1024 a dense real B would take 8 MB and a
-    # dense solve's temporaries some 40 MB more; the full check of the dense
-    # Theta stays, about three 16 MB complex arrays
+    # tc hands B over as its two bands and holds Theta as the O(n) operator
+    # on the L D L^T factors of I + j z0 B, checked by an O(n) bound: the
+    # call peaks near 0.25 MB at n = 1024, where a dense real B alone would
+    # take 8 MB and a dense complex Theta 16 MB
     n = 1024
     pair = gen_rayleigh(n, Rng(95))
     spec = parse_arch("tc", n)
@@ -252,8 +252,8 @@ def test_tc_holds_b_as_bands():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 16 * n * n
-    assert "matrix" not in vars(res.b_matrix)
+    assert peak <= 2 * 2 ** 20
+    assert "matrix" not in vars(res.b_matrix) and "matrix" not in vars(res.theta)
     assert res.b_matrix.bands[0].shape == (n,) and res.b_matrix.bands[1].shape == (n - 1,)
 
 

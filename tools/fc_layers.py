@@ -1,4 +1,4 @@
-"""Per-layer times of one fully connected (fc) or tridiagonal (tc) optimize() call, per surface size.
+"""Per-layer times of one fc or tc optimize() call per surface size, or of one sweep round's stages.
 
 Usage, from the repository root:
 
@@ -8,10 +8,13 @@ Usage, from the repository root:
     python tools/fc_layers.py --arch tc --tree before=PATH/TO/OLD/src --tree after=src \
         --sizes 8,64,256,1024 --append BENCH_trajectory.json
 
+    python tools/fc_layers.py --arch sweep --tree before=PATH/TO/OLD/src --tree after=src \
+        --sizes 8,16,32,64 --append BENCH_trajectory.json
+
 Each tree is measured in its own interpreter, with PYTHONPATH set to its
-src directory and BLAS pinned to one thread.  Per size, the calls run on
-Rayleigh pairs drawn by Rng(1), Rng(2), ..., and every layer reports its
-median over the calls, in ms.  For --arch fc (the default):
+src directory and BLAS pinned to one thread.  For fc and tc, the calls run
+on Rayleigh pairs drawn by Rng(1), Rng(2), ..., per size, and every layer
+reports its median over the calls, in ms.  For --arch fc (the default):
 
 - total: the whole optimize() call;
 - cayley: scattering_from_susceptance, less its construction check;
@@ -30,6 +33,20 @@ For --arch tc the same spans are named for what they hold there:
 - steering: the rest of the call (the steering solve, B's bands, bounds);
 - dense_fallbacks: the calls whose Theta is a dense matrix, a count (on a
   tree without the operator layout, every call).
+
+--arch sweep times SWEEP_ROUNDS rounds of the Rayleigh sweep the benchmark
+runs (--sizes, SWEEP_TRIALS trials, sc and gc:4, membership on, seeds 1,
+2, ...): run_experiment plus the CSV writers, in process.  Each stage
+reports its median per round, in ms:
+
+- total: run_experiment and the CSV;
+- draw: the channel draws (gen_rayleigh);
+- membership: is_tc_adversarial;
+- optimize.sc, optimize.gc:4: every optimize() or optimize_trials() call
+  run_experiment makes for that architecture;
+- csv: write_records_csv, summarize and write_summary_csv;
+- rest: the remainder, run_experiment's own bookkeeping;
+- records_per_s: the records of a round over its median total.
 
 --skip TREE:N leaves a size out for one tree.  --append adds one entry,
 with the machine, versions, this command and --note, to a trajectory file
@@ -54,33 +71,87 @@ CALLS = {8: 30, 64: 30, 256: 30, 1024: 10, 4096: 5}
 
 
 # Span names per architecture: the call, the Cayley map less its check, the
-# check, received_power, and the rest of the call.
+# check, received_power, and the rest of the call; for the sweep, its stages.
 LAYERS = {"fc": ("total", "cayley", "check", "power", "closed_form"),
-          "tc": ("total", "factors", "check", "apply", "steering")}
+          "tc": ("total", "factors", "check", "apply", "steering"),
+          "sweep": ("total", "draw", "membership", "optimize.sc", "optimize.gc:4", "csv", "rest")}
+# The sweep round: the benchmark's rayleigh_sweep at the given sizes.
+SWEEP_ROUNDS = 30
+SWEEP_TRIALS = 25
+SWEEP_ARCHS = ("sc", "gc:4")
+
+
+def timed(spans: dict, name, fn):
+    """fn, adding its wall time to spans[name], or to spans[name(args)] for a callable name."""
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            key = name(args) if callable(name) else name
+            spans[key] = spans.get(key, 0.0) + time.perf_counter() - start
+    return wrapper
+
+
+def measure_sweep(sizes: list[int]) -> dict:
+    """Median per-stage ms of one sweep round, in this interpreter."""
+    import io
+
+    import numpy as np
+
+    from bdris import experiment
+
+    spans: dict[str, float] = {}
+    experiment.gen_rayleigh = timed(spans, "draw", experiment.gen_rayleigh)
+    experiment.is_tc_adversarial = timed(spans, "membership", experiment.is_tc_adversarial)
+    # run_experiment called optimize() per trial before trials were
+    # batched, and optimize_trials() per cell since; whichever it calls is
+    # timed
+    for entry in ("optimize", "optimize_trials"):
+        if hasattr(experiment, entry):
+            setattr(experiment, entry, timed(spans, lambda args: f"optimize.{args[1].label}",
+                                             getattr(experiment, entry)))
+
+    def round_(seed: int) -> int:
+        config = experiment.ExperimentConfig(scenario="rayleigh", sizes=tuple(sizes),
+                                             trials=SWEEP_TRIALS, archs=SWEEP_ARCHS, seed=seed,
+                                             check_membership=True)
+        records = experiment.run_experiment(config)
+        start = time.perf_counter()
+        experiment.write_records_csv(records, io.StringIO())
+        experiment.write_summary_csv(experiment.summarize(records), io.StringIO())
+        spans["csv"] = time.perf_counter() - start
+        return len(records)
+
+    round_(0)  # warm-up
+    rows = []
+    for seed in range(1, SWEEP_ROUNDS + 1):
+        spans.clear()
+        start = time.perf_counter()
+        count = round_(seed)
+        total = time.perf_counter() - start
+        stages = [spans.get(name, 0.0) for name in LAYERS["sweep"][1:-1]]
+        rows.append([total, *stages, total - sum(stages)])
+    medians = np.median(np.array(rows), axis=0) * 1e3
+    out = {name: round(float(v), 4) for name, v in zip(LAYERS["sweep"], medians)}
+    out.update(records=count, rounds=len(rows), records_per_s=round(count / (medians[0] / 1e3), 1))
+    return {",".join(map(str, sizes)): out}
 
 
 def measure(arch: str, sizes: list[int]) -> dict:
-    """Median per-layer ms of fc or tc optimize() at each size, in this interpreter."""
+    """Median per-layer ms of fc or tc optimize() at each size, or of a sweep round, in this interpreter."""
+    if arch == "sweep":
+        return measure_sweep(sizes)
     import numpy as np
 
     from bdris import architecture, optimize
     from bdris.channel import Rng, gen_rayleigh
 
     spans: dict[str, float] = {}
-
-    def timed(name, fn):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                spans[name] = spans.get(name, 0.0) + time.perf_counter() - start
-        return wrapper
-
-    optimize.scattering_from_susceptance = timed("map", optimize.scattering_from_susceptance)
-    optimize.received_power = timed("power", optimize.received_power)
+    optimize.scattering_from_susceptance = timed(spans, "map", optimize.scattering_from_susceptance)
+    optimize.received_power = timed(spans, "power", optimize.received_power)
     post_init = architecture.ScatteringMatrix.__post_init__
-    architecture.ScatteringMatrix.__post_init__ = timed("check", post_init)
+    architecture.ScatteringMatrix.__post_init__ = timed(spans, "check", post_init)
     out = {}
     for n in sizes:
         spec = architecture.parse_arch(arch, n)
@@ -141,7 +212,8 @@ def main(argv=None) -> int:
         return 0
     entry = {"date": datetime.date.today().isoformat(),
              "command": " ".join(["python", "tools/fc_layers.py", *map(shlex.quote, argv or sys.argv[1:])]),
-             "arch": args.arch, "unit": "ms, median per call", "note": args.note, "trees": {}}
+             "arch": args.arch, "unit": f"ms, median per {'round' if args.arch == 'sweep' else 'call'}",
+             "note": args.note, "trees": {}}
     for spec in args.tree:
         name, src = spec.split("=", 1)
         keep = [n for n in sizes if f"{name}:{n}" not in args.skip]

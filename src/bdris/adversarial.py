@@ -6,7 +6,8 @@ sum of the normalized channels has real-proportional adjacent entries (the
 induced by those cuts disagree about the receive/transmit norm ratio (so
 no single gain serves every group).  The direct test decides exactly that
 combination; a brute-force twin enumerates every candidate cut set for
-cross-validation.
+cross-validation.  tc_membership answers the direct test for every pair of
+a stack, searching all rows for cuts at once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .architecture import partition_from_cuts
-from .channel import ChannelPair, normalize
+from .channel import ChannelPair, ChannelStack, normalize
 from .errors import InputError
 from .linalg import ZERO_FLOOR_REL, proportional_adjacencies
 
@@ -116,6 +117,20 @@ def is_tc_adversarial(pair: ChannelPair) -> MembershipReport:
         group_ratios=ratios,
         c1_holds=c1,
     )
+
+
+def tc_membership(stack: ChannelStack) -> list[bool]:
+    """is_tc_adversarial(stack[t]).in_a of every pair of a stack, in order.
+
+    The rows are normalized by the stack's row norms (np.linalg.norm's
+    rounding, so each row of hr_hat + ht_hat is cut_set's vector bit for
+    bit), and proportional_adjacencies finds every row's cuts in one pass.
+    A pair with no cut is not in the set; a pair with one goes through
+    is_tc_adversarial, which keeps the group-ratio rule in one place.
+    """
+    s = stack.h_r / stack.norms_r[:, None] + stack.h_t / stack.norms_t[:, None]
+    return [bool(cuts) and is_tc_adversarial(stack[t]).in_a
+            for t, (cuts, _) in enumerate(proportional_adjacencies(s))]
 
 
 def is_tc_adversarial_bruteforce(pair: ChannelPair) -> bool:

@@ -572,8 +572,26 @@ def received_power(pair, theta) -> float:
 
 
 def upper_bound_full(pair) -> float:
-    """Received-power bound ||h_r||^2 ||h_t||^2, valid for every architecture."""
-    return float(np.linalg.norm(pair.h_r) ** 2 * np.linalg.norm(pair.h_t) ** 2)
+    """Received-power bound ||h_r||^2 ||h_t||^2, valid for every architecture: full_bounds of one pair."""
+    return _full_bound(np.linalg.norm(pair.h_r), np.linalg.norm(pair.h_t))
+
+
+def full_bounds(norms_r, norms_t) -> list[float]:
+    """upper_bound_full of each row of a stack, from the 1-D arrays of its row norms.
+
+    linalg.row_norms rounds each norm as np.linalg.norm does, so every bound
+    is the one upper_bound_full gives the row alone.
+    """
+    return [_full_bound(a, b) for a, b in zip(norms_r, norms_t)]
+
+
+def _full_bound(norm_r, norm_t) -> float:
+    """||h_r||^2 ||h_t||^2 from numpy float64 norms, each squared by pow as numpy squares a scalar.
+
+    pow can differ from x * x in the last bit, so the square is taken the
+    one way for every caller.
+    """
+    return float(norm_r ** 2 * norm_t ** 2)
 
 
 def upper_bound_gc(pair, cuts) -> float:

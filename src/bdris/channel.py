@@ -3,18 +3,22 @@
 All randomness flows through ``Rng``, a counter-based SplitMix64 stream.
 Pure 64-bit integer mixing plus IEEE-754 arithmetic makes every draw
 reproducible bit for bit across platforms and library versions, which the
-experiment harness relies on for byte-identical output.
+experiment harness relies on for byte-identical output.  An Rng over an
+array of seeds is one stream per seed, so the Rayleigh and line-of-sight
+generators draw a whole stack of trials (rayleigh_channels, los_channels)
+as one uint64 array, each row the pair its seed gives alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, NumericalFailure
-from .linalg import proportional_adjacencies
+from .linalg import proportional_adjacencies, row_norms
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64 constants: stream increment and the two avalanche multipliers.
@@ -30,46 +34,61 @@ _SWAP_MAX_RETRIES = 100
 
 
 def splitmix64(z: int) -> int:
-    """One SplitMix64 avalanche round of a 64-bit integer."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+    """One SplitMix64 avalanche round of a 64-bit integer: splitmix64_array of one entry."""
+    return int(splitmix64_array(np.array([int(z) & _MASK64], dtype=np.uint64))[0])
+
+
+def splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 avalanche of every entry of a uint64 array, in wrapping arithmetic."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 class Rng:
-    """Deterministic uniform and complex-Gaussian source.
+    """Deterministic uniform and complex-Gaussian source: one stream, or one per seed of an array.
 
-    Draw k of the stream is splitmix64(seed + (k + 1) * GOLDEN_GAMMA), so
+    Draw k of a stream is splitmix64(seed + (k + 1) * GOLDEN_GAMMA), so
     the stream is a pure function of (seed, draw index): identical seeds
     give identical streams everywhere, and bulk draws vectorize over
-    numpy's wrapping uint64 arithmetic.
+    numpy's wrapping uint64 arithmetic.  Rng(seed) is one stream, and a
+    draw of n values has shape (n,).  Rng(seeds), seeds a 1-D array, is
+    one stream per seed advanced together: a draw has shape (len(seeds),
+    n), and its row t is bit for bit the same draw of Rng(seeds[t]).
     """
 
     algorithm = "splitmix64"
 
-    def __init__(self, seed: int):
-        self._seed = int(seed) & _MASK64
+    def __init__(self, seed):
+        if np.ndim(seed) == 0:
+            seeds = np.array(int(seed) & _MASK64, dtype=np.uint64)
+        else:
+            # Python ints go in as objects, which keeps seeds past 2^63 exact
+            seeds = seed if isinstance(seed, np.ndarray) else np.array(seed, dtype=object)
+            if seeds.ndim != 1:
+                raise InputError(f"seeds must be one integer or a 1-D array, got shape {seeds.shape}")
+            if seeds.dtype.kind in "iu":
+                seeds = seeds.astype(np.uint64)  # two's complement, as & _MASK64
+            else:
+                seeds = np.array([int(v) & _MASK64 for v in seeds.tolist()], dtype=np.uint64)
+        self._seeds = seeds[..., None]  # (1,) or (rows, 1), broadcast against the draw index
         self._count = 0
 
     def _raw(self, n: int) -> np.ndarray:
         k = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        z = np.uint64(self._seed) + k * np.uint64(GOLDEN_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        return splitmix64_array(self._seeds + k * np.uint64(GOLDEN_GAMMA))
 
     def uniform(self, n: int) -> np.ndarray:
-        """n doubles uniform on [0, 1)."""
+        """n doubles uniform on [0, 1) per stream."""
         return (self._raw(n) >> np.uint64(11)) * 2.0**-53
 
     def uniform_pos(self, n: int) -> np.ndarray:
-        """n doubles uniform on (0, 1]; safe under log()."""
+        """n doubles uniform on (0, 1] per stream; safe under log()."""
         return ((self._raw(n) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
 
     def complex_gaussian(self, n: int) -> np.ndarray:
-        """n circularly-symmetric complex Gaussians with zero mean, unit variance.
+        """n circularly-symmetric complex Gaussians with zero mean, unit variance, per stream.
 
         Polar Box-Muller: the squared modulus is Exp(1) from one uniform,
         the phase is uniform from the next.  Draw order: moduli first,
@@ -80,11 +99,47 @@ class Rng:
         return mag * np.exp(1j * phase)
 
 
+class RowCheck(NamedTuple):
+    """check_rows of a stack: its row norms, the rows before the first that fails, and that row's error."""
+
+    norms_r: np.ndarray
+    norms_t: np.ndarray
+    valid: int
+    error: InputError | None
+
+
+def check_rows(h_r, h_t) -> RowCheck:
+    """ChannelPair's rule on every row (the last axis) of a stack of channel pairs.
+
+    A row passes when its entries are finite and ||h_r||^2 ||h_t||^2 is a
+    finite positive float, the norms as np.linalg.norm rounds them
+    (linalg.row_norms).  error is the InputError of the first row that
+    fails, None when every row passes, and valid the number of rows before
+    it.  A pair of vectors is one row.
+    """
+    # an overflowing norm or product is inf, and a row with a non-finite
+    # entry has an inf or nan product: all are rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        nr, nt = row_norms(h_r), row_norms(h_t)
+        full = (nr * nr) * (nt * nt)
+    passes = np.ravel((full > 0.0) & (full < np.inf))
+    if passes.all():
+        return RowCheck(nr, nt, passes.size, None)
+    t = int(np.argmin(passes))
+    n = np.shape(h_r)[-1]
+    if not (np.isfinite(np.reshape(h_r, (-1, n))[t]).all()
+            and np.isfinite(np.reshape(h_t, (-1, n))[t]).all()):
+        return RowCheck(nr, nt, t, InputError("channel entries must be finite"))
+    return RowCheck(nr, nt, t, InputError("channel vectors must have positive norm and a finite "
+                                          "||h_r||^2 ||h_t||^2 (channel scale out of range)"))
+
+
 @dataclass(frozen=True)
 class ChannelPair:
     """Receiver-side and transmitter-side channel vectors of equal length.
 
-    The full bound ||h_r||^2 ||h_t||^2 must be a finite positive float.
+    The full bound ||h_r||^2 ||h_t||^2 must be a finite positive float:
+    check_rows at one row.
     """
 
     h_r: np.ndarray
@@ -99,19 +154,68 @@ class ChannelPair:
             raise InputError(f"channel vectors must share one length, got {h_r.shape} and {h_t.shape}")
         if h_r.size == 0:
             raise InputError("channel vectors must be nonempty")
-        if not (np.all(np.isfinite(h_r)) and np.all(np.isfinite(h_t))):
-            raise InputError("channel entries must be finite")
-        with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
-            nr = float(np.linalg.norm(h_r))
-            nt = float(np.linalg.norm(h_t))
-        # Python floats overflow to inf and underflow to 0 without a warning.
-        if not 0.0 < (nr * nr) * (nt * nt) < float("inf"):
-            raise InputError("channel vectors must have positive norm and a finite "
-                             "||h_r||^2 ||h_t||^2 (channel scale out of range)")
+        error = check_rows(h_r, h_t).error
+        if error is not None:
+            raise error
 
     @property
     def n(self) -> int:
         return self.h_r.size
+
+
+@dataclass(frozen=True)
+class ChannelStack:
+    """Channel pairs of one length as the rows of two (trials, n) arrays.
+
+    Every row passes ChannelPair's rule (check_rows); construction raises
+    the error of the first row that does not, and keeps the row norms it
+    computed as norms_r and norms_t.  len() is the number of pairs, and
+    stack[t] is row t as a ChannelPair: the pair itself for a stack built
+    by ChannelStack.of.
+    """
+
+    h_r: np.ndarray
+    h_t: np.ndarray
+    norms_r: np.ndarray = field(init=False, repr=False, compare=False)
+    norms_t: np.ndarray = field(init=False, repr=False, compare=False)
+    _pairs = None  # the pairs a stack was built of, if any
+
+    def __post_init__(self):
+        h_r = np.asarray(self.h_r, dtype=complex)
+        h_t = np.asarray(self.h_t, dtype=complex)
+        object.__setattr__(self, "h_r", h_r)
+        object.__setattr__(self, "h_t", h_t)
+        if h_r.ndim != 2 or h_r.shape != h_t.shape:
+            raise InputError(f"channel stacks must share one (trials, n) shape, got {h_r.shape} "
+                             f"and {h_t.shape}")
+        if h_r.shape[1] == 0:
+            raise InputError("channel vectors must be nonempty")
+        check = check_rows(h_r, h_t)
+        if check.error is not None:
+            raise check.error
+        object.__setattr__(self, "norms_r", check.norms_r)
+        object.__setattr__(self, "norms_t", check.norms_t)
+
+    @classmethod
+    def of(cls, pairs, n: int) -> ChannelStack:
+        """The stack of a sequence of pairs of length n, which may be empty."""
+        if not len(pairs):
+            return cls(np.empty((0, n), complex), np.empty((0, n), complex))
+        stack = cls(np.stack([pair.h_r for pair in pairs]), np.stack([pair.h_t for pair in pairs]))
+        object.__setattr__(stack, "_pairs", tuple(pairs))
+        return stack
+
+    @property
+    def n(self) -> int:
+        return self.h_r.shape[1]
+
+    def __len__(self) -> int:
+        return self.h_r.shape[0]
+
+    def __getitem__(self, t: int) -> ChannelPair:
+        if self._pairs is not None:
+            return self._pairs[t]
+        return ChannelPair(self.h_r[t], self.h_t[t])
 
 
 def normalize(v) -> np.ndarray:
@@ -124,13 +228,23 @@ def normalize(v) -> np.ndarray:
 
 
 def gen_rayleigh(n: int, rng: Rng) -> ChannelPair:
-    """i.i.d. CN(0, 1) fading on both links.  Draw order: h_r, then h_t."""
+    """i.i.d. CN(0, 1) fading on both links: rayleigh_channels of one stream."""
+    return ChannelPair(*rayleigh_channels(n, rng))
+
+
+def rayleigh_channels(n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """(h_r, h_t) of i.i.d. CN(0, 1) fading, one row per stream of rng.  Draw order: h_r, then h_t."""
     _check_size(n)
-    return ChannelPair(rng.complex_gaussian(n), rng.complex_gaussian(n))
+    return rng.complex_gaussian(n), rng.complex_gaussian(n)
 
 
 def gen_los(n: int, rng: Rng) -> ChannelPair:
-    """Unit-modulus line-of-sight channels with random link gains.
+    """Unit-modulus line-of-sight channels with random link gains: los_channels of one stream."""
+    return ChannelPair(*los_channels(n, rng))
+
+
+def los_channels(n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """(h_r, h_t) of unit-modulus line-of-sight channels, one row per stream of rng.
 
     Entries are c1 * exp(j phi_k) and c2 * exp(j psi_k) with phases uniform
     on [0, 2pi) and gains c1, c2 uniform on (0.1, 10).  Draw order: c1, c2,
@@ -140,7 +254,7 @@ def gen_los(n: int, rng: Rng) -> ChannelPair:
     c = 0.1 + 9.9 * rng.uniform(2)
     phi = 2.0 * np.pi * rng.uniform(n)
     psi = 2.0 * np.pi * rng.uniform(n)
-    return ChannelPair(c[0] * np.exp(1j * phi), c[1] * np.exp(1j * psi))
+    return c[..., :1] * np.exp(1j * phi), c[..., 1:] * np.exp(1j * psi)
 
 
 def gen_gc_favorable(n: int, group_size: int, rng: Rng) -> ChannelPair:

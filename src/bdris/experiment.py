@@ -1,11 +1,18 @@
 """Monte Carlo harness: scenario sweeps over sizes, trials, architectures.
 
 One channel pair is drawn per (size, trial) from its own derived seed and
-shared by every architecture, so architectures see paired trials.  Each
-(size, architecture) cell is solved by one optimize_trials call over the
-size's pairs.  Records are a pure function of the configuration, whatever
-the worker cap.  Every draw, here and in the CLI's gen and oracle commands,
-goes through SCENARIO_TABLE.
+shared by every architecture, so architectures see paired trials.  A size's
+trials run in stacks of at most optimize._STACK_ELEMENTS surface elements,
+each one pass of draws, validation and membership: the trial seeds are one
+uint64 array, Rayleigh and line-of-sight pairs are drawn as its rows by one
+Rng over it (the other scenarios draw trial by trial), every row is checked
+by ChannelPair's rule at once (ChannelStack), and membership searches every
+row for cuts at once (adversarial.tc_membership).  Each trial is still a
+pure function of its seed, bit for bit the pair Rng(seed) draws alone.
+Each (size, architecture) cell of a stack is then solved by one
+optimize_trials call.  Records are a pure function of the configuration,
+whatever the worker cap.  Every draw, here and in the CLI's gen and oracle
+commands, goes through SCENARIO_TABLE.
 """
 
 from __future__ import annotations
@@ -16,24 +23,29 @@ from typing import Callable
 
 import numpy as np
 
-from .adversarial import is_tc_adversarial
+# is_tc_adversarial and optimize are not called here, but stay importable by
+# these names: the benchmark tracer (perfbench/tracer.py) wraps
+# bdris.experiment.is_tc_adversarial and bdris.experiment.optimize
+from .adversarial import is_tc_adversarial, tc_membership
 from .architecture import DEFAULT_Z0, ArchitectureSpec, parse_arch
 from .channel import (
     ChannelPair,
+    ChannelStack,
     GOLDEN_GAMMA,
     Rng,
+    check_rows,
     default_swap_extent,
     gen_gc_adversarial,
     gen_gc_favorable,
     gen_los,
     gen_rayleigh,
     gen_tc_adversarial,
-    splitmix64,
+    los_channels,
+    rayleigh_channels,
+    splitmix64_array,
 )
 from .errors import InputError, NumericalFailure
-# optimize is not called here, but stays importable by this name: the
-# benchmark tracer (perfbench/tracer.py) wraps bdris.experiment.optimize
-from .optimize import optimize, optimize_trials
+from .optimize import _STACK_ELEMENTS, optimize, optimize_trials
 
 DEFAULT_SIZES = (8, 16, 24, 32, 40, 48, 56, 64)
 DEFAULT_TRIALS = 1000
@@ -52,17 +64,20 @@ class Scenario:
     generate(n, rng, group_size, q) calls the generator.  It looks the
     generator up by name in this module at every call, so a wrapper set on
     that name later (the benchmark tracer's, a test's) sees every draw.
-    group_sizes is empty for scenarios without a group structure; otherwise
-    its first entry is the default group size and any later one is what
-    the oracle mix falls back to when the default does not divide n.  A
-    scenario with swaps has a swap extent q, which is part of its record
-    label.
+    rows(n, rng), where given, is the same generator for a stack of
+    streams: it returns (h_r, h_t) with one row per stream of rng, and
+    generate is its one-stream case.  group_sizes is empty for scenarios
+    without a group structure; otherwise its first entry is the default
+    group size and any later one is what the oracle mix falls back to when
+    the default does not divide n.  A scenario with swaps has a swap extent
+    q, which is part of its record label.
     """
 
     name: str
     generate: Callable[[int, Rng, int | None, int | None], ChannelPair]
     group_sizes: tuple[int, ...] = ()
     swaps: bool = False
+    rows: Callable[[int, Rng], tuple[np.ndarray, np.ndarray]] | None = None
 
     def resolve(self, n: int, group_size: int | None = None,
                 q: int | None = None) -> tuple[int | None, int | None]:
@@ -95,17 +110,22 @@ class Scenario:
              q: int | None = None) -> tuple[ChannelPair, str]:
         """(pair, record label) of one draw at size n."""
         gs, q = self.resolve(n, group_size, q)
+        return self.generate(n, rng, gs, q), self.label(q)
+
+    def label(self, q: int | None) -> str:
+        """The record label of a draw with resolved swap extent q."""
         # the swap extent is part of the scenario identity, so label it
-        label = f"{self.name}:q={q}" if self.swaps else self.name
-        return self.generate(n, rng, gs, q), label
+        return f"{self.name}:q={q}" if self.swaps else self.name
 
 
 SCENARIO_TABLE = {s.name: s for s in (
-    Scenario("rayleigh", lambda n, rng, gs, q: gen_rayleigh(n, rng)),
+    Scenario("rayleigh", lambda n, rng, gs, q: gen_rayleigh(n, rng),
+             rows=lambda n, rng: rayleigh_channels(n, rng)),
     Scenario("gc_favorable", lambda n, rng, gs, q: gen_gc_favorable(n, gs, rng), (2,)),
     Scenario("gc_adversarial", lambda n, rng, gs, q: gen_gc_adversarial(n, gs, rng), (4, 2)),
     Scenario("tc_adversarial", lambda n, rng, gs, q: gen_tc_adversarial(n, rng, q), swaps=True),
-    Scenario("los", lambda n, rng, gs, q: gen_los(n, rng)),
+    Scenario("los", lambda n, rng, gs, q: gen_los(n, rng),
+             rows=lambda n, rng: los_channels(n, rng)),
 )}
 SCENARIOS = tuple(SCENARIO_TABLE)
 # Order in which oracle runs cycle through the scenarios.
@@ -132,9 +152,18 @@ def oracle_mix(n: int) -> list[tuple[Scenario, int | None]]:
 
 
 def mix64(seed: int, size_index: int, trial_index: int) -> int:
-    """Derived per-trial seed: one avalanche of seed XOR the two lane words."""
-    z = (int(seed) ^ (size_index * GOLDEN_GAMMA) ^ (trial_index * _TRIAL_LANE)) & _MASK64
-    return splitmix64(z)
+    """Derived per-trial seed: one avalanche of seed XOR the two lane words; trial_seeds of one trial."""
+    return int(trial_seeds(seed, size_index, [trial_index])[0])
+
+
+def trial_seeds(seed: int, size_index: int, trials) -> np.ndarray:
+    """The derived seeds, uint64, of the given trial indexes at one size.
+
+    Trial t's seed is the SplitMix64 avalanche of seed XOR (size_index *
+    GOLDEN_GAMMA) XOR (t * _TRIAL_LANE), mod 2^64.
+    """
+    lanes = np.asarray(trials, dtype=np.uint64) * np.uint64(_TRIAL_LANE)
+    return splitmix64_array(np.uint64((int(seed) ^ size_index * GOLDEN_GAMMA) & _MASK64) ^ lanes)
 
 
 @dataclass(frozen=True)
@@ -211,15 +240,16 @@ def resolve_archs(config: ExperimentConfig) -> dict[int, list[ArchitectureSpec]]
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
     """All trial records, ordered by (size, trial, arch position).
 
-    Per size, the pairs are drawn (and their membership tested) in trial
-    order, then each architecture solves all of them in one optimize_trials
-    call.  When a NumericalFailure or InputError leaves a size, the size is
-    solved again one trial at a time, so the error raised is that of the
-    first failing (trial, arch) in record order, a NumericalFailure naming
-    its scenario, n, trial, arch and trial seed.  A draw that fails raises
-    after the trials drawn before it are solved, as if the trials ran one
-    by one.  threads is a worker cap; everything runs in order on the
-    calling thread, which meets every cap.
+    Per size, the trials run in stacks of at most _STACK_ELEMENTS surface
+    elements, in trial order: draw_trials draws and checks a stack's pairs,
+    tc_membership tests their membership, and each architecture solves them
+    in one optimize_trials call.  When a NumericalFailure or InputError
+    leaves a stack, the stack is solved again one trial at a time, so the
+    error raised is that of the first failing (trial, arch) in record
+    order, a NumericalFailure naming its scenario, n, trial, arch and trial
+    seed.  A draw that fails raises after the trials drawn before it are
+    solved, as if the trials ran one by one.  threads is a worker cap;
+    everything runs in order on the calling thread, which meets every cap.
     """
     archs_by_size = resolve_archs(config)
     scenario = SCENARIO_TABLE[config.scenario]
@@ -227,60 +257,87 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialReco
         raise InputError(f"thread count must be positive, got {threads}")
     records = []
     for si, n in enumerate(config.sizes):
-        drawn = []
-        failed_draw = None
-        for t in range(config.trials):
-            seed = mix64(config.seed, si, t)
-            try:
-                pair, label = scenario.draw(n, Rng(seed), config.group_size, config.q_override)
-                in_a = is_tc_adversarial(pair).in_a if config.check_membership else None
-            except (InputError, NumericalFailure) as exc:
-                failed_draw = exc
-                break
-            drawn.append((seed, pair, label, in_a))
-        cells = _solve_size(config, n, archs_by_size[n], drawn)
-        for t, (seed, pair, label, in_a) in enumerate(drawn):
-            for arch_label, results in zip(config.archs, cells):
-                result = results[t]
-                records.append(TrialRecord(
-                    scenario=label,
-                    n=n,
-                    arch=arch_label,
-                    trial=t,
-                    seed=seed,
-                    p_r=result.p_r,
-                    p_bar_full=result.p_bar_full,
-                    ratio_full=result.ratio_full,
-                    residual_norm=result.residual_norm,
-                    consistent=result.consistent,
-                    in_a=in_a,
-                ))
-        if failed_draw is not None:
-            raise failed_draw
+        step = max(1, _STACK_ELEMENTS // n)
+        for first in range(0, config.trials, step):
+            seeds = trial_seeds(config.seed, si, np.arange(first, min(first + step, config.trials)))
+            stack, label, failed_draw = draw_trials(scenario, n, seeds, config.group_size,
+                                                    config.q_override)
+            drawn = seeds[:len(stack)].tolist()
+            in_a = tc_membership(stack) if config.check_membership else [None] * len(stack)
+            cells = _solve_stack(config, n, archs_by_size[n], stack, label, first, drawn)
+            for t, seed in enumerate(drawn):
+                for arch_label, results in zip(config.archs, cells):
+                    result = results[t]
+                    records.append(TrialRecord(
+                        scenario=label,
+                        n=n,
+                        arch=arch_label,
+                        trial=first + t,
+                        seed=seed,
+                        p_r=result.p_r,
+                        p_bar_full=result.p_bar_full,
+                        ratio_full=result.ratio_full,
+                        residual_norm=result.residual_norm,
+                        consistent=result.consistent,
+                        in_a=in_a[t],
+                    ))
+            if failed_draw is not None:
+                raise failed_draw
     return records
 
 
-def _solve_size(config: ExperimentConfig, n: int, specs, drawn) -> list:
-    """Per architecture, the results of the drawn (seed, pair, label, in_a) trials.
+def draw_trials(scenario: Scenario, n: int, seeds: np.ndarray, group_size: int | None = None,
+                q: int | None = None) -> tuple[ChannelStack, str, Exception | None]:
+    """(stack, label, error): the pairs at size n of the trials with these uint64 seeds, in order.
+
+    A scenario with a row generator draws every pair at once from
+    Rng(seeds), each row the pair Rng(seed) gives alone, and checks the
+    rows at once; any other scenario draws trial by trial from Rng(seed).
+    The stack holds the pairs before the first draw that fails, by raising
+    InputError or NumericalFailure or by failing ChannelPair's rule, and
+    error is that failure, or None.  label is the draws' record label.
+    """
+    gs, q = scenario.resolve(n, group_size, q)
+    label = scenario.label(q)
+    if scenario.rows is not None:
+        h_r, h_t = scenario.rows(n, Rng(seeds))
+        try:
+            return ChannelStack(h_r, h_t), label, None
+        except InputError as exc:
+            valid = check_rows(h_r, h_t).valid
+            return ChannelStack(h_r[:valid], h_t[:valid]), label, exc
+    pairs, error = [], None
+    for seed in seeds.tolist():
+        try:
+            pairs.append(scenario.generate(n, Rng(seed), gs, q))
+        except (InputError, NumericalFailure) as exc:
+            error = exc
+            break
+    return ChannelStack.of(pairs, n), label, error
+
+
+def _solve_stack(config: ExperimentConfig, n: int, specs, stack: ChannelStack, label: str,
+                 first: int, seeds: list[int]) -> list:
+    """Per architecture, the results of a stack's trials, trial first + t drawn from seeds[t].
 
     A stacked call fails when any of its pairs would fail alone, so on
     failure the trials run again one at a time, architecture by
     architecture, until the first failing one raises.
     """
-    pairs = [pair for _, pair, _, _ in drawn]
     try:
-        return [optimize_trials(pairs, spec, config.z0) for spec in specs]
+        return [optimize_trials(stack, spec, config.z0) for spec in specs]
     except (InputError, NumericalFailure):
         pass
     by_trial = []
-    for t, (seed, pair, label, _) in enumerate(drawn):
+    for t, seed in enumerate(seeds):
+        pair = stack[t]
         row = []
         for arch_label, spec in zip(config.archs, specs):
             try:
                 row += optimize_trials([pair], spec, config.z0)
             except NumericalFailure as exc:
                 raise NumericalFailure(
-                    f"{exc} (scenario {label}, n = {n}, trial {t}, arch {arch_label}, "
+                    f"{exc} (scenario {label}, n = {n}, trial {first + t}, arch {arch_label}, "
                     f"trial seed {seed})") from exc
         by_trial.append(row)
     return list(zip(*by_trial))

@@ -248,6 +248,17 @@ def _weighted_bound(f: TridiagonalLDL, rho: np.ndarray, lsq: np.ndarray, h: floa
     return 4.0 / (1.0 - h) * weighted * (1.0 + 16.0 * (n + 2) * _EPS)
 
 
+def row_norms(h) -> np.ndarray:
+    """The 2-norm of each row (the last axis) of a complex array, as np.linalg.norm rounds one vector.
+
+    np.linalg.norm of a complex vector is the square root of the BLAS dot
+    products of its real and imaginary parts with themselves; vecdot makes
+    the same ddot call on each row.  A 1-D vector gives a 0-d result.
+    """
+    h = np.asarray(h, dtype=complex)
+    return np.sqrt(np.vecdot(h.real, h.real) + np.vecdot(h.imag, h.imag))
+
+
 def real_ratio(z1, z2, floor: float = 0.0):
     """Real gamma with z1 = gamma * z2, or None when no nonzero real ratio fits.
 
@@ -256,15 +267,22 @@ def real_ratio(z1, z2, floor: float = 0.0):
     convention; a single zero gives None, because only a zero or infinite
     ratio could fit and downstream column merging needs a finite nonzero
     one.  Two nonzero entries are proportional iff |Im(z1 * conj(z2))| <=
-    PROPORTIONAL_TOL * m^2.
+    PROPORTIONAL_TOL * m^2.  The test runs on z1, z2 and floor scaled by
+    the exact power of two that brings their largest real or imaginary
+    part into [0.5, 1), so its products neither underflow nor overflow at
+    any scale and the answer does not depend on it.
     """
     z1 = complex(z1)
     z2 = complex(z2)
+    top = max(abs(z1.real), abs(z1.imag), abs(z2.real), abs(z2.imag), floor)
+    if top == 0.0:
+        return 1.0
+    e = -math.frexp(top)[1]
+    z1 = complex(math.ldexp(z1.real, e), math.ldexp(z1.imag, e))
+    z2 = complex(math.ldexp(z2.real, e), math.ldexp(z2.imag, e))
     a1 = abs(z1)
     a2 = abs(z2)
-    m = max(a1, a2, floor)
-    if m == 0.0:
-        return 1.0
+    m = max(a1, a2, math.ldexp(floor, e))
     z1_zero = a1 <= PROPORTIONAL_TOL * m
     z2_zero = a2 <= PROPORTIONAL_TOL * m
     if z1_zero and z2_zero:
@@ -277,30 +295,39 @@ def real_ratio(z1, z2, floor: float = 0.0):
     return None
 
 
-def proportional_adjacencies(s) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """1-based adjacencies of s whose neighbors are real-proportional.
+def proportional_adjacencies(s):
+    """1-based adjacencies of s whose neighbors are real-proportional, for a vector or each row of a stack.
 
     Proportionality is real_ratio's test, with an entry counting as zero
-    against ZERO_FLOOR_REL * max|s|, evaluated for all adjacencies at once
-    by the same float operations: moduli by hypot, as Python's abs of a
-    complex, and z1 conj(z2) from its real and imaginary parts.  Returns
-    (cuts, gammas) with gammas[k] the real ratio of entry cuts[k] over
-    entry cuts[k] + 1.
+    against ZERO_FLOOR_REL * max|s| (of its row), evaluated for all
+    adjacencies of all rows at once by the same float operations: moduli by
+    hypot, as Python's abs of a complex, z1 conj(z2) from its real and
+    imaginary parts, and every row scaled first by the exact power of two
+    that brings its max|s| into [0.5, 1).  For a vector, returns (cuts,
+    gammas) with gammas[k] the real ratio of entry cuts[k] over entry
+    cuts[k] + 1; for a (T, n) stack, the list of the T rows' (cuts, gammas).
     """
     s = np.asarray(s, dtype=complex)
-    floor = ZERO_FLOOR_REL * float(np.abs(s).max())
-    x, y = s.real, s.imag
+    rows = s.reshape(-1, s.shape[-1])
+    # max|s| = top 2^e exactly, with top in [0.5, 1)
+    top, e = np.frexp(np.abs(rows).max(axis=1, keepdims=True))
+    x, y = np.ldexp(rows.real, -e), np.ldexp(rows.imag, -e)
     a = np.hypot(x, y)
-    m = np.maximum(np.maximum(a[:-1], a[1:]), floor)
+    m = np.maximum(np.maximum(a[:, :-1], a[:, 1:]), ZERO_FLOOR_REL * top)
     tol = PROPORTIONAL_TOL * m
-    zero = a[:-1] <= tol
-    cross_im = y[:-1] * x[1:] - x[:-1] * y[1:]
+    zero = a[:, :-1] <= tol
+    cross_im = y[:, :-1] * x[:, 1:] - x[:, :-1] * y[:, 1:]
     # both entries zero, or neither zero and the cross product within tol m
-    keep = np.flatnonzero((zero == (a[1:] <= tol)) & (zero | (np.abs(cross_im) <= tol * m)))
-    if not keep.size:
-        return (), ()
-    gammas = np.ones(keep.size)
-    nonzero = ~zero[keep]
-    i = keep[nonzero]
-    gammas[nonzero] = (x[i] * x[i + 1] + y[i] * y[i + 1]) / (a[i + 1] * a[i + 1])
-    return tuple((keep + 1).tolist()), tuple(gammas.tolist())
+    keep = (zero == (a[:, 1:] <= tol)) & (zero | (np.abs(cross_im) <= tol * m))
+    found = [((), ())] * len(rows)
+    if keep.any():
+        row, col = np.nonzero(keep)
+        gammas = np.ones(col.size)
+        nonzero = ~zero[row, col]
+        r, i = row[nonzero], col[nonzero]
+        gammas[nonzero] = (x[r, i] * x[r, i + 1] + y[r, i] * y[r, i + 1]) / (a[r, i + 1] * a[r, i + 1])
+        # row is sorted, so row t's adjacencies are the slice bounds[t]:bounds[t + 1]
+        bounds = np.searchsorted(row, np.arange(len(rows) + 1)).tolist()
+        cuts, gammas = (col + 1).tolist(), gammas.tolist()
+        found = [(tuple(cuts[lo:hi]), tuple(gammas[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    return found[0] if s.ndim == 1 else found

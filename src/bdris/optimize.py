@@ -14,12 +14,12 @@ pattern's system is solved by a structured method:
   one group among them) is handed over as its factors, never as a dense
   block.
 
-optimize_trials solves many pairs of one size at once.  For sc, gc and fc
-it stacks the pairs into one channel and repeats the cut partition once per
-pair (_solve_blocks): every group is normalized and solved on its own, so
-the groups of different pairs are groups like any other, and each width is
-solved, mapped and checked once for the whole stack.  optimize() is the
-same core at one pair; tc runs pair by pair.
+optimize_trials solves many pairs of one size at once, a ChannelStack.
+For sc, gc and fc it treats the stack's rows as one channel and repeats the
+cut partition once per pair (_solve_blocks): every group is normalized and
+solved on its own, so the groups of different pairs are groups like any
+other, and each width is solved, mapped and checked once for the whole
+stack.  optimize() is the same core at one pair; tc runs pair by pair.
 
 Stacking real and imaginary parts turns any of these systems into an
 ordinary real least-squares problem, solved by SVD as the fallback.  The
@@ -48,13 +48,14 @@ from .architecture import (
     SusceptanceMatrix,
     _check_z0,
     _group_bounds,
+    full_bounds,
     groups_by_width,
     pattern_mask,
     received_power,
     scattering_from_susceptance,
     upper_bound_full,
 )
-from .channel import ChannelPair, Rng, normalize
+from .channel import ChannelPair, ChannelStack, Rng, normalize
 from .errors import InputError, NumericalFailure
 from .linalg import min_norm_least_squares
 
@@ -172,7 +173,7 @@ def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0) -> OptimizeResu
     than 4 (all of fc's one group, at n >= 5) is held as its rank-4
     factors Q S Q^T, whose Theta comes from a 4 x 4 Cayley map.
     """
-    return _result(_solve_blocks([pair], cuts, z0))
+    return _result(_solve_blocks(*_one_pair(pair), cuts, z0))
 
 
 def optimize_sc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
@@ -183,7 +184,7 @@ def optimize_sc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
     bound (sum_i |h_r,i| |h_t,i|)^2 is met up to the phase clamp.  B holds
     the diagonal as one stack of width-1 blocks.
     """
-    return _result(_solve_blocks([pair], None, z0))
+    return _result(_solve_blocks(*_one_pair(pair), None, z0))
 
 
 def optimize(pair: ChannelPair, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> OptimizeResult:
@@ -195,11 +196,11 @@ def optimize(pair: ChannelPair, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) 
     _check_sizes([pair], spec)
     if spec.kind == KIND_TREE and spec.n > 1:
         return optimize_tc(pair, z0)
-    return _result(_block_cell([pair], spec, z0))
+    return _result(_block_cell(*_one_pair(pair), spec, z0))
 
 
 def optimize_trials(pairs, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> list[TrialResult]:
-    """The TrialResult of every pair of a sequence, all of size spec.n, in order.
+    """The TrialResult of every pair of a ChannelStack or a sequence of pairs, all of size spec.n, in order.
 
     sc, gc and fc solve the pairs stacked, up to _STACK_ELEMENTS elements
     at a time (_solve_blocks); each pair's figures are bit for bit those
@@ -208,35 +209,50 @@ def optimize_trials(pairs, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> li
     means some pair fails: a caller that needs to know which runs the pairs
     one at a time.  tc runs optimize_tc pair by pair.
     """
-    _check_sizes(pairs, spec)
+    if isinstance(pairs, ChannelStack):
+        stack = pairs
+        _check_sizes([stack], spec)
+    else:
+        _check_sizes(pairs, spec)
+        stack = ChannelStack.of(pairs, spec.n)
     if spec.kind == KIND_TREE and spec.n > 1:
-        return [TrialResult(*_figures(optimize_tc(pair, z0))) for pair in pairs]
+        return [TrialResult(*_figures(optimize_tc(stack[t], z0))) for t in range(len(stack))]
+    full = full_bounds(stack.norms_r, stack.norms_t)
     step = max(1, _STACK_ELEMENTS // spec.n)
-    return [TrialResult(*row) for lo in range(0, len(pairs), step)
-            for row in _block_cell(pairs[lo:lo + step], spec, z0)[2]]
+    return [TrialResult(*row) for lo in range(0, len(stack), step)
+            for row in _block_cell(stack.h_r[lo:lo + step].reshape(-1),
+                                   stack.h_t[lo:lo + step].reshape(-1), full[lo:lo + step],
+                                   spec, z0)[2]]
+
+
+def _one_pair(pair: ChannelPair):
+    """(h_r, h_t, full) of _solve_blocks for one pair: its vectors and its bound."""
+    return pair.h_r, pair.h_t, [upper_bound_full(pair)]
 
 
 def _check_sizes(pairs, spec: ArchitectureSpec) -> None:
+    """Raise InputError unless every pair (or stack) of the sequence has size spec.n."""
     for pair in pairs:
         if spec.n != pair.n:
             raise InputError(f"architecture is for n = {spec.n}, channels have n = {pair.n}")
 
 
-def _block_cell(pairs, spec: ArchitectureSpec, z0: float):
+def _block_cell(h_r, h_t, full, spec: ArchitectureSpec, z0: float):
     """_solve_blocks for the architecture: sc, tc at n = 1 (sc with the full bound), gc or fc."""
     if spec.kind == KIND_SINGLE:
-        return _solve_blocks(pairs, None, z0)
+        return _solve_blocks(h_r, h_t, full, None, z0)
     if spec.kind == KIND_TREE:
-        b, theta, rows = _solve_blocks(pairs, None, z0)
-        return b, theta, [(p_r, full, full, *rest) for p_r, full, _, *rest in rows]
-    return _solve_blocks(pairs, spec.effective_cuts, z0)
+        b, theta, rows = _solve_blocks(h_r, h_t, full, None, z0)
+        return b, theta, [(p_r, bound, bound, *rest) for p_r, bound, _, *rest in rows]
+    return _solve_blocks(h_r, h_t, full, spec.effective_cuts, z0)
 
 
-def _solve_blocks(pairs, cuts, z0: float):
-    """(B, Theta, rows) of sc (cuts None) or of the cut partition, for equal-size pairs stacked.
+def _solve_blocks(h_r, h_t, full, cuts, z0: float):
+    """(B, Theta, rows) of sc (cuts None) or of the cut partition, for len(full) pairs end to end.
 
-    The pairs are concatenated into one channel of len(pairs) n elements.
-    sc phase-aligns it entry by entry; otherwise the cut partition is
+    h_r and h_t hold the pairs one after another, one channel of len(full)
+    n elements, and full their p_bar_full, upper_bound_full of each.  sc
+    phase-aligns it entry by entry; otherwise the cut partition is
     repeated once per pair and each width's groups, of every pair, go
     through one _solve_groups call.  B and Theta hold the whole stack, so
     the Cayley map and its construction check run once per width.  Every
@@ -245,13 +261,11 @@ def _solve_blocks(pairs, cuts, z0: float):
     p_bar_arch, ratio_full, residual_norm, consistent) per pair: p_r from
     the pair's slice of Theta h_t, the residual and its scale the largest
     over the pair's own groups, and the bounds as the pair rounds them
-    alone (p_bar_full by one upper_bound_full call per pair, as its norms
-    are BLAS dot products).
+    alone.
     """
     _check_z0(z0)
-    n, count = pairs[0].n, len(pairs)
-    h_r = _concatenate([pair.h_r for pair in pairs])
-    h_t = _concatenate([pair.h_t for pair in pairs])
+    count = len(full)
+    n = h_r.size // count
     if cuts is None:
         d = _phase_align_susceptance(h_r, h_t, z0)
         b = SusceptanceMatrix(((np.arange(h_r.size)[:, None], d[:, None, None]),))
@@ -278,18 +292,12 @@ def _solve_blocks(pairs, cuts, z0: float):
     theta = scattering_from_susceptance(b, z0)
     y = theta.apply(h_t)
     rows = []
-    for t, pair in enumerate(pairs):
-        p_r = float(abs(np.vdot(pair.h_r, y[t * n:(t + 1) * n])) ** 2)
-        p_bar_full = upper_bound_full(pair)
+    for t, p_bar_full in enumerate(full):
+        p_r = float(abs(np.vdot(h_r[t * n:(t + 1) * n], y[t * n:(t + 1) * n])) ** 2)
         residual, scale = residuals[t], scales[t]
         consistent = residual <= CONSISTENT_RTOL * scale if scale > 0.0 else True
         rows.append((p_r, p_bar_full, bounds[t], p_r / p_bar_full, residual, consistent))
     return b, theta, rows
-
-
-def _concatenate(vectors) -> np.ndarray:
-    """The vectors end to end; a single one as it is, uncopied."""
-    return vectors[0] if len(vectors) == 1 else np.concatenate(vectors)
 
 
 def _result(cell) -> OptimizeResult:

@@ -6,22 +6,61 @@ gives it alone, on every architecture and on the group kinds the solver
 tells apart (dead, degenerate, SVD-fallback and factored groups), and a
 failure inside a batch must reach the caller as it would trial by trial.
 Also here: the vectorized adjacency test against real_ratio at the
-PROPORTIONAL_TOL boundary, and the cached cut partition.
+PROPORTIONAL_TOL boundary and at extreme scales, the cached cut partition,
+and the trial axis before the optimizers: stacked draws, validation and
+membership against their one-pair functions, and simulate's records
+against a sweep run one trial at a time.
 """
 
 import cmath
 import importlib
+import io
 import math
 
 import numpy as np
 import pytest
 
-from bdris.adversarial import is_tc_adversarial, is_tc_adversarial_bruteforce
-from bdris.architecture import groups_by_width, parse_arch, upper_bound_gc
-from bdris.channel import ChannelPair, Rng, gen_rayleigh
-from bdris.errors import NumericalFailure
-from bdris.experiment import SCENARIO_TABLE, ExperimentConfig, mix64, run_experiment
-from bdris.linalg import PROPORTIONAL_TOL, ZERO_FLOOR_REL, proportional_adjacencies, real_ratio
+from bdris.adversarial import is_tc_adversarial, is_tc_adversarial_bruteforce, tc_membership
+from bdris.architecture import (
+    full_bounds,
+    groups_by_width,
+    parse_arch,
+    upper_bound_full,
+    upper_bound_gc,
+)
+from bdris.channel import (
+    GOLDEN_GAMMA,
+    ChannelPair,
+    ChannelStack,
+    Rng,
+    check_rows,
+    gen_los,
+    gen_rayleigh,
+    gen_tc_adversarial,
+    los_channels,
+    normalize,
+    rayleigh_channels,
+)
+from bdris.errors import InputError, NumericalFailure
+from bdris.experiment import (
+    SCENARIO_TABLE,
+    SCENARIOS,
+    ExperimentConfig,
+    TrialRecord,
+    mix64,
+    run_experiment,
+    summarize,
+    trial_seeds,
+    write_records_csv,
+    write_summary_csv,
+)
+from bdris.linalg import (
+    PROPORTIONAL_TOL,
+    ZERO_FLOOR_REL,
+    proportional_adjacencies,
+    real_ratio,
+    row_norms,
+)
 from bdris.optimize import TrialResult, optimize, optimize_trials
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -320,3 +359,307 @@ def test_cut_partition_is_cached_and_read_only():
             idx[0, 0] = 7
     pair = gen_rayleigh(6, Rng(2))
     assert upper_bound_gc(pair, [2, 3]) == upper_bound_gc(pair, (2, 3))
+
+
+# --- the trial axis before the optimizers: draws, validation, membership ---
+
+MASK64 = (1 << 64) - 1
+# the top of the seed range, where seed + k GOLDEN_GAMMA wraps at once
+TOP_SEEDS = [MASK64 - k for k in range(4)]
+
+
+def bits(a):
+    """The raw 64-bit words of a float or complex array, for bit-for-bit comparison."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def reference_mix64(seed, size_index, trial_index):
+    """The derived trial seed, restated in Python integers."""
+    z = (seed ^ size_index * GOLDEN_GAMMA ^ trial_index * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed,size_index", [(0, 0), (7, 3), (-1, 1), (MASK64, 9)])
+def test_trial_seeds_are_the_per_trial_seeds(seed, size_index):
+    seeds = trial_seeds(seed, size_index, np.arange(40))
+    assert seeds.dtype == np.uint64
+    expected = [reference_mix64(seed & MASK64, size_index, t) for t in range(40)]
+    assert seeds.tolist() == expected
+    assert [mix64(seed, size_index, t) for t in range(40)] == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_stacked_draws_match_per_seed_draws(n):
+    seeds = np.array(TOP_SEEDS + trial_seeds(5, 2, np.arange(12)).tolist() + [0, 1], dtype=np.uint64)
+    stacked, alone = Rng(seeds), [Rng(int(seed)) for seed in seeds]
+    # every draw kind, in a row, so the streams' counters advance together
+    for draw in ("uniform", "uniform_pos", "complex_gaussian"):
+        rows = getattr(stacked, draw)(n)
+        assert rows.shape == (len(seeds), n)
+        assert np.array_equal(bits(rows), bits(np.stack([getattr(r, draw)(n) for r in alone])))
+    for stack_gen, pair_gen in ((rayleigh_channels, gen_rayleigh), (los_channels, gen_los)):
+        h_r, h_t = stack_gen(n, Rng(seeds))
+        pairs = [pair_gen(n, Rng(int(seed))) for seed in seeds]
+        assert np.array_equal(bits(h_r), bits(np.stack([p.h_r for p in pairs])))
+        assert np.array_equal(bits(h_t), bits(np.stack([p.h_t for p in pairs])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_one_stream_generators_keep_their_draw_order(n):
+    # gen_rayleigh and gen_los against their documented draw order, restated
+    # from one stream's uniforms, the gains as Python floats
+    for seed in (0, 9, MASK64):
+        pair = gen_rayleigh(n, Rng(seed))
+        stream = Rng(seed)
+        mag_r = np.sqrt(-np.log(stream.uniform_pos(n)))
+        phase_r = 2.0 * np.pi * stream.uniform(n)
+        mag_t = np.sqrt(-np.log(stream.uniform_pos(n)))
+        phase_t = 2.0 * np.pi * stream.uniform(n)
+        assert np.array_equal(bits(pair.h_r), bits(mag_r * np.exp(1j * phase_r)))
+        assert np.array_equal(bits(pair.h_t), bits(mag_t * np.exp(1j * phase_t)))
+        pair = gen_los(n, Rng(seed))
+        stream = Rng(seed)
+        c = [0.1 + 9.9 * float(v) for v in stream.uniform(2)]
+        phi = 2.0 * np.pi * stream.uniform(n)
+        psi = 2.0 * np.pi * stream.uniform(n)
+        assert np.array_equal(bits(pair.h_r), bits(c[0] * np.exp(1j * phi)))
+        assert np.array_equal(bits(pair.h_t), bits(c[1] * np.exp(1j * psi)))
+
+
+def test_rng_seed_forms_agree():
+    # a seed is taken mod 2^64 in every form: Python ints past int64, negative
+    # ints, numpy integer arrays
+    n = 5
+    expected = [Rng(seed).uniform(n) for seed in (MASK64, 3, 2 ** 63)]
+    for seeds in ([MASK64, 3, 2 ** 63], [-1, 3, -(2 ** 63)], np.array([-1, 3, -(2 ** 63)]),
+                  np.array([MASK64, 3, 2 ** 63], dtype=np.uint64)):
+        assert np.array_equal(Rng(seeds).uniform(n), np.stack(expected))
+    with pytest.raises(InputError):
+        Rng(np.zeros((2, 2), dtype=np.uint64))
+
+
+def test_row_norms_round_as_np_linalg_norm():
+    # vecdot on the real and imaginary views is the ddot np.linalg.norm calls
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 8, 63, 64, 257):
+        scale = 10.0 ** rng.uniform(-150, 150, (40, 1))
+        h = (rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))) * scale
+        assert [float(v) for v in row_norms(h)] == [float(np.linalg.norm(row)) for row in h]
+        assert float(row_norms(h[0])) == float(np.linalg.norm(h[0]))
+        # the stack's bounds, from the norms its check computed, are
+        # upper_bound_full's (scales kept within the bound's range)
+        h_r, h_t = h / scale * 10.0 ** rng.uniform(-60, 60, (40, 1)), h[::-1] / scale[::-1]
+        stack = ChannelStack(h_r, h_t)
+        assert full_bounds(stack.norms_r, stack.norms_t) == [
+            upper_bound_full(ChannelPair(a, b)) for a, b in zip(h_r, h_t)]
+
+
+def corrupted_rows(kind, n=4, rows=6, at=3):
+    """Rayleigh rows with row `at` made to fail ChannelPair's rule in one way."""
+    h_r, h_t = rayleigh_channels(n, Rng(np.arange(rows, dtype=np.uint64)))
+    if kind == "nan":
+        h_r[at, 1] = complex(np.nan, 0.0)
+    elif kind == "inf":
+        h_t[at, 0] = complex(0.0, np.inf)
+    elif kind == "zero":
+        h_t[at] = 0.0
+    elif kind == "overflow":
+        h_r[at] *= 1e200
+    elif kind == "underflow":
+        h_r[at] *= 1e-170
+        h_t[at] *= 1e-170
+    return h_r, h_t
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "zero", "overflow", "underflow"])
+@pytest.mark.parametrize("at", [0, 3, 5])
+def test_stacked_validation_fails_as_channel_pair(kind, at):
+    h_r, h_t = corrupted_rows(kind, at=at)
+    later = corrupted_rows("zero" if kind != "zero" else "nan", at=5)
+    if at < 5:  # a later failing row does not move the first
+        h_r[5], h_t[5] = later[0][5], later[1][5]
+    with pytest.raises(InputError) as alone:
+        ChannelPair(h_r[at], h_t[at])
+    check = check_rows(h_r, h_t)
+    assert check.valid == at
+    assert type(check.error) is InputError and str(check.error) == str(alone.value)
+    with pytest.raises(InputError) as stacked:
+        ChannelStack(h_r, h_t)
+    assert str(stacked.value) == str(alone.value)
+    for t in range(at):
+        ChannelPair(h_r[t], h_t[t])  # the rows before it pass alone too
+
+
+@pytest.mark.parametrize("kind", ["nan", "overflow"])
+def test_a_failing_stacked_draw_raises_after_the_rows_before_it(monkeypatch, kind):
+    # the draw of trial 3 fails ChannelPair's rule: trials 0-2 are solved and
+    # recorded, then the sweep raises ChannelPair's error
+    def planted(n, rng):
+        h_r, h_t = rayleigh_channels(n, rng)
+        bad_r, bad_t = corrupted_rows(kind, n=n, rows=len(h_r))
+        h_r[3], h_t[3] = bad_r[3], bad_t[3]
+        return h_r, h_t
+
+    solved = []
+    real = experiment.optimize_trials
+
+    def recording(pairs, spec, *args):
+        solved.append(len(pairs))
+        return real(pairs, spec, *args)
+
+    monkeypatch.setattr(experiment, "rayleigh_channels", planted)
+    monkeypatch.setattr(experiment, "optimize_trials", recording)
+    with pytest.raises(InputError) as stacked:
+        run_experiment(ExperimentConfig(scenario="rayleigh", sizes=(4,), trials=6, archs=("sc",),
+                                        check_membership=True))
+    with pytest.raises(InputError) as alone:
+        ChannelPair(*[v[3] for v in corrupted_rows(kind, rows=6)])
+    assert str(stacked.value) == str(alone.value)
+    assert solved == [3]
+
+
+def assert_same_membership(stack):
+    expected = [is_tc_adversarial(ChannelPair(a, b)).in_a for a, b in zip(stack.h_r, stack.h_t)]
+    assert tc_membership(stack) == expected
+    return expected
+
+
+def matched_pair(n, seed):
+    """A pair with cuts but one norm ratio on every group: h_t a real multiple of h_r.
+
+    h_r has real-proportional neighbors at every other adjacency, so
+    hr_hat + ht_hat = 2 hr_hat has cuts there, and every group's ratio is
+    the same, so the pair is not in the set.
+    """
+    h = gen_rayleigh(n, Rng(seed)).h_r
+    h[1::2] = h[0::2][:len(h[1::2])] * np.linspace(-2.0, 3.0, len(h[1::2]))
+    return ChannelPair(h, 0.5 * h)
+
+
+@pytest.mark.parametrize("n,q", [(2, 1), (3, 1), (8, None), (8, 3), (16, None), (64, None)])
+def test_stacked_membership_matches_per_pair_on_swap_draws(n, q):
+    swapped = [gen_tc_adversarial(n, Rng(seed), q) for seed in range(12)]
+    rayleigh = [gen_rayleigh(n, Rng(seed)) for seed in range(4)]
+    matched = [matched_pair(n, seed) for seed in range(3)]
+    pairs = swapped[:6] + rayleigh + matched + swapped[6:]
+    in_a = assert_same_membership(ChannelStack.of(pairs, n))
+    assert any(in_a[:6])  # the swap construction's pairs are in the set
+    assert not any(in_a[6:13])
+    assert all(is_tc_adversarial(pair).cut_set for pair in matched)
+    # a stack of rows with no pairs behind them answers the same
+    assert_same_membership(ChannelStack(np.stack([p.h_r for p in pairs]),
+                                        np.stack([p.h_t for p in pairs])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(near_threshold_pairs(), min_size=1, max_size=8))
+def test_stacked_membership_matches_per_pair_near_the_threshold(pairs):
+    for n in {p.n for p in pairs}:
+        assert_same_membership(ChannelStack.of([p for p in pairs if p.n == n], n))
+
+
+def test_stacked_membership_searches_cut_sets_vectors(monkeypatch):
+    # each row the stacked search sees is, bit for bit, the vector cut_set
+    # searches for that pair alone
+    adversarial = importlib.import_module("bdris.adversarial")
+    seen = []
+    real = adversarial.proportional_adjacencies
+
+    def recording(s):
+        seen.append(np.array(s))
+        return real(s)
+
+    monkeypatch.setattr(adversarial, "proportional_adjacencies", recording)
+    seeds = trial_seeds(3, 1, np.arange(40))
+    stack = ChannelStack(*rayleigh_channels(16, Rng(seeds)))
+    tc_membership(stack)
+    (rows,) = seen
+    for t in range(len(stack)):
+        alone = normalize(stack.h_r[t]) + normalize(stack.h_t[t])
+        assert np.array_equal(bits(rows[t]), bits(alone))
+
+
+def test_membership_of_an_empty_stack():
+    assert tc_membership(ChannelStack.of([], 4)) == []
+    assert proportional_adjacencies(np.zeros((0, 4), complex)) == []
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_adjacency_test_does_not_depend_on_scale(scale):
+    # entries this small or large once underflowed (ZeroDivisionError, nan
+    # gammas) or overflowed in the products of the test
+    assert real_ratio(2.0 * scale, scale) == 2.0
+    assert real_ratio(scale, 1j * scale) is None
+    v = np.array([2.0, -4.0, 3j, 1.5j, 1 + 1e-3j, 0.0, 0.0, 5.0])
+    cuts, gammas = proportional_adjacencies(v)
+    assert cuts == (1, 3, 6) and gammas == (-0.5, 2.0, 1.0)
+    found = proportional_adjacencies(v * scale)
+    assert found == scalar_adjacencies(v * scale)
+    assert found[0] == cuts
+    assert found[1] == pytest.approx(gammas, rel=1e-12)
+    assert proportional_adjacencies(np.stack([v, v * scale]))[0] == (cuts, gammas)
+
+
+def test_tiny_entries_no_longer_underflow():
+    assert real_ratio(2e-170, 1e-170) == 2.0
+    assert proportional_adjacencies([2e-170, 1e-170, 3e-170j]) == ((1,), (2.0,))
+
+
+def test_normal_range_gammas_are_unchanged():
+    # the power-of-two rescale is exact, so gammas are those of the formula
+    # on the unscaled entries
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        z = complex(rng.standard_normal(), rng.standard_normal()) * 10.0 ** rng.uniform(-100, 100)
+        gamma = rng.uniform(-50, 50)
+        s = np.array([gamma * z, z])
+        x, y = s.real, s.imag
+        expected = (x[0] * x[1] + y[0] * y[1]) / (np.hypot(x[1], y[1]) * np.hypot(x[1], y[1]))
+        found = proportional_adjacencies(s)
+        assert found == ((1,), (float(expected),))
+        assert real_ratio(s[0], s[1]) == float(expected)
+
+
+def per_trial_records(config):
+    """run_experiment restated one trial at a time through the one-pair functions."""
+    scenario = SCENARIO_TABLE[config.scenario]
+    records = []
+    for si, n in enumerate(config.sizes):
+        specs = [parse_arch(label, n) for label in config.archs]
+        for t in range(config.trials):
+            seed = mix64(config.seed, si, t)
+            pair, label = scenario.draw(n, Rng(seed), config.group_size, config.q_override)
+            in_a = is_tc_adversarial(pair).in_a if config.check_membership else None
+            for arch, spec in zip(config.archs, specs):
+                r = optimize(pair, spec, config.z0)
+                records.append(TrialRecord(label, n, arch, t, seed, r.p_r, r.p_bar_full,
+                                           r.ratio_full, r.residual_norm, r.consistent, in_a))
+    return records
+
+
+def csv_text(records):
+    records_out, summary_out = io.StringIO(), io.StringIO()
+    write_records_csv(records, records_out)
+    write_summary_csv(summarize(records), summary_out)
+    return records_out.getvalue(), summary_out.getvalue()
+
+
+@pytest.mark.parametrize("membership", [False, True])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_simulate_csvs_match_the_per_trial_sweep(scenario, membership):
+    config = ExperimentConfig(scenario=scenario, sizes=(4, 8, 16), trials=10,
+                              archs=("sc", "gc:2", "tc", "fc"), seed=21,
+                              check_membership=membership)
+    assert csv_text(run_experiment(config)) == csv_text(per_trial_records(config))
+
+
+@pytest.mark.parametrize("scenario", ["rayleigh", "los"])
+def test_simulate_csvs_match_across_draw_stacks(scenario):
+    # 300 trials at n = 64 take two draw stacks of _STACK_ELEMENTS // 64 = 256
+    # and 44 trials
+    config = ExperimentConfig(scenario=scenario, sizes=(1, 64), trials=300, archs=("sc",), seed=4,
+                              check_membership=True)
+    assert optimize_module._STACK_ELEMENTS // 64 < config.trials
+    assert csv_text(run_experiment(config)) == csv_text(per_trial_records(config))

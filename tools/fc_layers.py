@@ -40,8 +40,11 @@ runs (--sizes, SWEEP_TRIALS trials, sc and gc:4, membership on, seeds 1,
 reports its median per round, in ms:
 
 - total: run_experiment and the CSV;
-- draw: the channel draws (gen_rayleigh);
-- membership: is_tc_adversarial;
+- draw: the channel draws, through the first of DRAW_ENTRIES that
+  bdris.experiment has: draw_trials (a stack's Rng, draws and ChannelStack
+  check) or gen_rayleigh (one trial's draws and ChannelPair check);
+- membership: the first of MEMBERSHIP_ENTRIES it has, tc_membership (a
+  stack's) or is_tc_adversarial (one trial's);
 - optimize.sc, optimize.gc:4: every optimize() or optimize_trials() call
   run_experiment makes for that architecture;
 - csv: write_records_csv, summarize and write_summary_csv;
@@ -79,6 +82,10 @@ LAYERS = {"fc": ("total", "cayley", "check", "power", "closed_form"),
 SWEEP_ROUNDS = 30
 SWEEP_TRIALS = 25
 SWEEP_ARCHS = ("sc", "gc:4")
+# The draw and membership entry points run_experiment may call, stacked
+# first: a tree that has the stacked one calls only that one.
+DRAW_ENTRIES = ("draw_trials", "gen_rayleigh")
+MEMBERSHIP_ENTRIES = ("tc_membership", "is_tc_adversarial")
 
 
 def timed(spans: dict, name, fn):
@@ -102,8 +109,9 @@ def measure_sweep(sizes: list[int]) -> dict:
     from bdris import experiment
 
     spans: dict[str, float] = {}
-    experiment.gen_rayleigh = timed(spans, "draw", experiment.gen_rayleigh)
-    experiment.is_tc_adversarial = timed(spans, "membership", experiment.is_tc_adversarial)
+    for stage, entries in (("draw", DRAW_ENTRIES), ("membership", MEMBERSHIP_ENTRIES)):
+        entry = next(name for name in entries if hasattr(experiment, name))
+        setattr(experiment, entry, timed(spans, stage, getattr(experiment, entry)))
     # run_experiment called optimize() per trial before trials were
     # batched, and optimize_trials() per cell since; whichever it calls is
     # timed

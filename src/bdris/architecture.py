@@ -448,10 +448,10 @@ def scattering_from_susceptance(b, z0: float = DEFAULT_Z0) -> ScatteringMatrix:
     Theta = (I + j z0 B)^-1 (I - j z0 B) is block-diagonal on B's blocks, so
     each of b.blocks is mapped on its own: a width-1 stack entry by entry,
     Theta_ii = (1 - j z0 B_ii) / (1 + j z0 B_ii) (all of sc); each wider
-    stack, or the one 2-D block of a dense B, by one batched solve of
-    (I + j z0 B) Theta = (I - j z0 B) rather than an explicit inverse, for
-    conditioning.  A factored group B = Q S Q^T (Q^T Q = I) maps through
-    its r x r core: by the Woodbury identity (I + j z0 Q S Q^T)^-1 = I +
+    stack, or the one 2-D block of a dense B, as 2 (I + j z0 B)^-1 - I by
+    one batched LU solve against I (_cayley), which keeps the defects at
+    rounding level whatever B's scale.  A factored group B = Q S Q^T (Q^T Q
+    = I) maps through its r x r core: by the Woodbury identity (I + j z0 Q S Q^T)^-1 = I +
     Q ((I + j z0 S)^-1 - I) Q^T, so Theta = I + Q (Theta_S - I) Q^T with
     Theta_S = (I + j z0 S)^-1 (I - j z0 S), the Cayley map of S, solved
     like a width-r block.  A tridiagonal B given as its bands maps to the
@@ -479,16 +479,28 @@ def scattering_from_susceptance(b, z0: float = DEFAULT_Z0) -> ScatteringMatrix:
 
 
 def _cayley(values: np.ndarray, z0: float) -> np.ndarray:
-    """Theta of each block of a stack, or of one 2-D block."""
+    """Theta of each block of a stack, or of one 2-D block.
+
+    A wider block takes Theta = 2 (I + j z0 B)^-1 - I, the form of the
+    tridiagonal sweep, with the inverse from one LU solve against I
+    (np.linalg.inv is LAPACK's gesv on I, bit for bit solve(M, I)).
+    Solving against I - j z0 B instead carries B's scale into the rounding
+    of Theta, and on blocks with large entries its symmetry defect reached
+    THETA_SYM_TOL.
+    """
     jb = 1j * z0 * values
     width = values.shape[-1]
     if width == 1:
         return (1 - jb) / (1 + jb)
     eye = np.eye(width)
+    jb += eye  # I + j z0 B, in place
     try:
-        return np.linalg.solve(eye + jb, eye - jb)
+        theta = np.linalg.inv(jb)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"scattering solve failed: {exc}") from exc
+    theta *= 2.0
+    theta -= eye
+    return theta
 
 
 def _tridiagonal_ldl(a: np.ndarray, c: np.ndarray) -> TridiagonalLDL:

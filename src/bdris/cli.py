@@ -9,6 +9,7 @@ any work runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,6 +41,7 @@ EXIT_DISAGREEMENT = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every subcommand and its flags."""
     parser = argparse.ArgumentParser(
         prog="bdris",
         description="Optimize and simulate beyond-diagonal RIS architectures.",
@@ -94,9 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help/--version/bad flags
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     handlers = {

@@ -10,16 +10,20 @@ by ChannelPair's rule at once (ChannelStack), and membership searches every
 row for cuts at once (adversarial.tc_membership).  Each trial is still a
 pure function of its seed, bit for bit the pair Rng(seed) draws alone.
 Each (size, architecture) cell of a stack is then solved by one
-optimize_trials call.  Records are a pure function of the configuration,
-whatever the worker cap.  Every draw, here and in the CLI's gen and oracle
-commands, goes through SCENARIO_TABLE.
+optimize_trials call, whose TrialResult rows become TrialRecord rows,
+both NamedTuples built positionally.  The CSV writers format each record
+or summary line with one f-string and write the file at once, quoting each
+distinct label through csv once.  Records are a pure function of the
+configuration, whatever the worker cap.  Every draw, here and in the CLI's
+gen and oracle commands, goes through SCENARIO_TABLE.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -185,9 +189,8 @@ class ExperimentConfig:
         object.__setattr__(self, "archs", tuple(self.archs))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One (scenario, size, architecture, trial) outcome."""
+class TrialRecord(NamedTuple):
+    """One (scenario, size, architecture, trial) outcome: an immutable row, one per CSV line."""
 
     scenario: str
     n: int
@@ -202,8 +205,7 @@ class TrialRecord:
     in_a: bool | None = None
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     """Aggregate of ratio_full over one (scenario, n, arch) cell."""
 
     scenario: str
@@ -265,22 +267,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[TrialReco
             drawn = seeds[:len(stack)].tolist()
             in_a = tc_membership(stack) if config.check_membership else [None] * len(stack)
             cells = _solve_stack(config, n, archs_by_size[n], stack, label, first, drawn)
-            for t, seed in enumerate(drawn):
-                for arch_label, results in zip(config.archs, cells):
-                    result = results[t]
-                    records.append(TrialRecord(
-                        scenario=label,
-                        n=n,
-                        arch=arch_label,
-                        trial=first + t,
-                        seed=seed,
-                        p_r=result.p_r,
-                        p_bar_full=result.p_bar_full,
-                        ratio_full=result.ratio_full,
-                        residual_norm=result.residual_norm,
-                        consistent=result.consistent,
-                        in_a=in_a[t],
-                    ))
+            for t, (seed, member, *results) in enumerate(zip(drawn, in_a, *cells, strict=True), first):
+                for arch_label, result in zip(config.archs, results):
+                    p_r, p_bar_full, _, ratio, residual, consistent = result
+                    records.append(TrialRecord(label, n, arch_label, t, seed, p_r, p_bar_full, ratio,
+                                               residual, consistent, member))
             if failed_draw is not None:
                 raise failed_draw
     return records
@@ -345,23 +336,22 @@ def _solve_stack(config: ExperimentConfig, n: int, specs, stack: ChannelStack, l
 
 def summarize(records) -> list[SummaryRow]:
     """Mean/population-std aggregates per (scenario, n, arch), in record order."""
-    cells: dict[tuple, list[TrialRecord]] = {}
-    for record in records:
-        cells.setdefault((record.scenario, record.n, record.arch), []).append(record)
+    cells: dict[tuple, tuple[list, list]] = {}
+    for r in records:
+        key = (r.scenario, r.n, r.arch)
+        cell = cells.get(key)
+        if cell is None:
+            cells[key] = cell = ([], [])
+        cell[0].append(r.ratio_full)
+        cell[1].append(r.consistent)
     rows = []
-    for (scenario, n, arch), group in cells.items():
-        ratios = np.array([r.ratio_full for r in group])
-        rows.append(SummaryRow(
-            scenario=scenario,
-            n=n,
-            arch=arch,
-            trials=len(group),
-            mean_ratio=float(ratios.mean()),
-            std_ratio=float(ratios.std()),
-            min_ratio=float(ratios.min()),
-            max_ratio=float(ratios.max()),
-            consistent_fraction=float(np.mean([r.consistent for r in group])),
-        ))
+    for (scenario, n, arch), (ratio_list, flags) in cells.items():
+        ratios = np.array(ratio_list)
+        # an exact count over an exact length: the division np.mean makes
+        consistent_fraction = sum(flags) / len(flags)
+        rows.append(SummaryRow(scenario, n, arch, len(flags), float(ratios.mean()),
+                               float(ratios.std()), float(ratios.min()), float(ratios.max()),
+                               consistent_fraction))
     return rows
 
 
@@ -369,33 +359,38 @@ def write_records_csv(records, fp) -> None:
     """Records CSV with shortest round-trip floats; stable byte for byte.
 
     The in_a column appears only when membership was recorded.  A field
-    holding a comma (a gc:I= label with several cuts) is quoted, RFC 4180.
+    holding a comma (a gc:I= label with several cuts) is quoted, RFC 4180,
+    as csv.writer quotes it.  The file is written at once, one formatted
+    line per record.
     """
     with_membership = any(r.in_a is not None for r in records)
-    out = csv.writer(fp, lineterminator="\n")
-    fp.write(RECORD_HEADER + (",in_a" if with_membership else "") + "\n")
-    for r in records:
-        row = [r.scenario, str(r.n), r.arch, str(r.trial), str(r.seed), _fmt(r.p_r),
-               _fmt(r.p_bar_full), _fmt(r.ratio_full), _fmt(r.residual_norm), _bool(r.consistent)]
-        if with_membership:
-            row.append("" if r.in_a is None else _bool(r.in_a))
-        out.writerow(row)
+    quoted = _Quoted()
+    lines = [RECORD_HEADER + (",in_a\n" if with_membership else "\n")]
+    for scenario, n, arch, trial, seed, p_r, p_bar_full, ratio, residual, consistent, in_a in records:
+        member = ("," if in_a is None else ",true" if in_a else ",false") if with_membership else ""
+        lines.append(f"{quoted[scenario]},{n},{quoted[arch]},{trial},{seed},{float(p_r)!r},"
+                     f"{float(p_bar_full)!r},{float(ratio)!r},{float(residual)!r},"
+                     f"{'true' if consistent else 'false'}{member}\n")
+    fp.write("".join(lines))
 
 
 def write_summary_csv(rows, fp) -> None:
-    out = csv.writer(fp, lineterminator="\n")
-    fp.write(SUMMARY_HEADER + "\n")
-    for r in rows:
-        out.writerow([
-            r.scenario, str(r.n), r.arch, str(r.trials), _fmt(r.mean_ratio),
-            _fmt(r.std_ratio), _fmt(r.min_ratio), _fmt(r.max_ratio),
-            _fmt(r.consistent_fraction),
-        ])
+    """Summary CSV, formatted as write_records_csv formats the records."""
+    quoted = _Quoted()
+    lines = [SUMMARY_HEADER + "\n"]
+    for scenario, n, arch, trials, mean, std, low, high, consistent_fraction in rows:
+        lines.append(f"{quoted[scenario]},{n},{quoted[arch]},{trials},{float(mean)!r},"
+                     f"{float(std)!r},{float(low)!r},{float(high)!r},"
+                     f"{float(consistent_fraction)!r}\n")
+    fp.write("".join(lines))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+class _Quoted(dict):
+    """Each label as a CSV field, quoted by csv.writer when it needs to be, once per distinct label."""
 
-
-def _bool(flag: bool) -> str:
-    return "true" if flag else "false"
+    def __missing__(self, label):
+        buf = io.StringIO()
+        # a second field keeps csv from quoting an empty label as a lone field
+        csv.writer(buf, lineterminator="\n").writerow([label, ""])
+        self[label] = field = buf.getvalue()[:-2]
+        return field

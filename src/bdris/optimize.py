@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,9 +102,12 @@ class LinearSystem:
     n: int
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """The figures of one pair's optimization: received power, bounds, residual."""
+class TrialResult(NamedTuple):
+    """The figures of one pair's optimization: received power, bounds, residual.
+
+    An immutable row, as cheap to build as a tuple: optimize_trials makes
+    one per pair.
+    """
 
     p_r: float
     p_bar_full: float
@@ -114,9 +118,15 @@ class TrialResult:
 
 
 @dataclass(frozen=True)
-class OptimizeResult(TrialResult):
-    """Outcome of one architecture-constrained optimization, with its B and Theta."""
+class OptimizeResult:
+    """Outcome of one architecture-constrained optimization: the TrialResult figures, with its B and Theta."""
 
+    p_r: float
+    p_bar_full: float
+    p_bar_arch: float
+    ratio_full: float
+    residual_norm: float
+    consistent: bool
     b_matrix: SusceptanceMatrix
     theta: ScatteringMatrix
 
@@ -216,13 +226,14 @@ def optimize_trials(pairs, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> li
         _check_sizes(pairs, spec)
         stack = ChannelStack.of(pairs, spec.n)
     if spec.kind == KIND_TREE and spec.n > 1:
-        return [TrialResult(*_figures(optimize_tc(stack[t], z0))) for t in range(len(stack))]
+        return [TrialResult._make(_figures(optimize_tc(stack[t], z0))) for t in range(len(stack))]
     full = full_bounds(stack.norms_r, stack.norms_t)
     step = max(1, _STACK_ELEMENTS // spec.n)
-    return [TrialResult(*row) for lo in range(0, len(stack), step)
-            for row in _block_cell(stack.h_r[lo:lo + step].reshape(-1),
-                                   stack.h_t[lo:lo + step].reshape(-1), full[lo:lo + step],
-                                   spec, z0)[2]]
+    rows = []
+    for lo in range(0, len(stack), step):
+        rows += _block_cell(stack.h_r[lo:lo + step].reshape(-1), stack.h_t[lo:lo + step].reshape(-1),
+                            full[lo:lo + step], spec, z0)[2]
+    return list(map(TrialResult._make, rows))
 
 
 def _one_pair(pair: ChannelPair):
@@ -259,9 +270,9 @@ def _solve_blocks(h_r, h_t, full, cuts, z0: float):
     step works group by group, so a pair's blocks, residuals and slice of
     Theta h_t are those it gets alone.  rows holds one (p_r, p_bar_full,
     p_bar_arch, ratio_full, residual_norm, consistent) per pair: p_r from
-    the pair's slice of Theta h_t, the residual and its scale the largest
-    over the pair's own groups, and the bounds as the pair rounds them
-    alone.
+    h_r^H (Theta h_t) over the pair's own slices, the residual and its scale
+    the largest over the pair's own groups, and the bounds as the pair
+    rounds them alone (_received_powers takes every p_r at once).
     """
     _check_z0(z0)
     count = len(full)
@@ -271,7 +282,8 @@ def _solve_blocks(h_r, h_t, full, cuts, z0: float):
         b = SusceptanceMatrix(((np.arange(h_r.size)[:, None], d[:, None, None]),))
         # a row sum rounds like the sum of the pair's own vector
         bounds = [float(s ** 2) for s in (np.abs(h_r) * np.abs(h_t)).reshape(count, n).sum(axis=1)]
-        residuals = scales = [0.0] * count
+        residuals = [0.0] * count
+        consistent = [True] * count
     else:
         blocks = []
         factors = []
@@ -288,16 +300,25 @@ def _solve_blocks(h_r, h_t, full, cuts, z0: float):
             scales = np.maximum(scales, rhs.reshape(count, -1).max(axis=1))
         b = SusceptanceMatrix(tuple(blocks), factors=tuple(factors))
         bounds = _group_bounds(h_r, h_t, cuts, n)
-        residuals, scales = residuals.tolist(), scales.tolist()
+        residuals = residuals.tolist()
+        # a pair with no scale (every group dead or phased) is consistent
+        consistent = [residual <= CONSISTENT_RTOL * scale if scale > 0.0 else True
+                      for residual, scale in zip(residuals, scales.tolist())]
     theta = scattering_from_susceptance(b, z0)
-    y = theta.apply(h_t)
-    rows = []
-    for t, p_bar_full in enumerate(full):
-        p_r = float(abs(np.vdot(h_r[t * n:(t + 1) * n], y[t * n:(t + 1) * n])) ** 2)
-        residual, scale = residuals[t], scales[t]
-        consistent = residual <= CONSISTENT_RTOL * scale if scale > 0.0 else True
-        rows.append((p_r, p_bar_full, bounds[t], p_r / p_bar_full, residual, consistent))
-    return b, theta, rows
+    p_r = _received_powers(h_r, theta.apply(h_t), count)
+    ratios = [p / p_bar_full for p, p_bar_full in zip(p_r, full)]
+    return b, theta, list(zip(p_r, full, bounds, ratios, residuals, consistent))
+
+
+def _received_powers(h_r, y, count: int) -> list[float]:
+    """|h_r^H y|^2 over each of count equal slices of h_r and y, as received_power rounds each.
+
+    One vecdot over the (count, n) views is the zdotc that vdot calls for
+    each slice, and |.|^2 is taken of each numpy scalar, as received_power
+    takes it: np.abs over the array can differ in the last bit.
+    """
+    dots = np.vecdot(h_r.reshape(count, -1), y.reshape(count, -1))
+    return [float(abs(d) ** 2) for d in dots]
 
 
 def _result(cell) -> OptimizeResult:
@@ -306,7 +327,7 @@ def _result(cell) -> OptimizeResult:
     return OptimizeResult(*row, b_matrix=b, theta=theta)
 
 
-def _figures(result: TrialResult) -> tuple:
+def _figures(result: OptimizeResult) -> tuple:
     """(p_r, p_bar_full, p_bar_arch, ratio_full, residual_norm, consistent) of a result."""
     return (result.p_r, result.p_bar_full, result.p_bar_arch, result.ratio_full,
             result.residual_norm, result.consistent)

@@ -166,7 +166,8 @@ def test_cayley_map_diagonal_matches_dense_solve():
 
 def test_dense_susceptance_is_one_dense_solve():
     # a dense B given alone is one block, whatever its zeros: gc:2 values
-    # with one dead group, and a diagonal, map by the plain dense solve
+    # with one dead group, and a diagonal, map by one dense solve against I,
+    # Theta = 2 (I + j z0 B)^-1 - I
     rng = np.random.default_rng(22)
     gc = np.where(pattern_mask(parse_arch("gc:2", 6)), rng.standard_normal((6, 6)), 0.0)
     gc = gc + gc.T
@@ -176,7 +177,7 @@ def test_dense_susceptance_is_one_dense_solve():
         assert len(SusceptanceMatrix(b).blocks) == 1
         for z0 in (1.0, 50.0):
             jb = 1j * z0 * b
-            dense = np.linalg.solve(np.eye(n) + jb, np.eye(n) - jb)
+            dense = 2.0 * np.linalg.solve(np.eye(n) + jb, np.eye(n)) - np.eye(n)
             assert np.array_equal(scattering_from_susceptance(b, z0=z0).matrix, dense)
 
 

@@ -22,6 +22,7 @@ import pytest
 
 from bdris.adversarial import is_tc_adversarial, is_tc_adversarial_bruteforce, tc_membership
 from bdris.architecture import (
+    DEFAULT_Z0,
     full_bounds,
     groups_by_width,
     parse_arch,
@@ -68,15 +69,17 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 optimize_module = importlib.import_module("bdris.optimize")
 experiment = importlib.import_module("bdris.experiment")
+architecture = importlib.import_module("bdris.architecture")
 
 FIGURES = ("p_r", "p_bar_full", "p_bar_arch", "ratio_full", "residual_norm", "consistent")
 LABELS = ("sc", "gc:1", "gc:2", "gc:4", "gc:I=1,3", "fc", "tc")
 EPS = float(np.finfo(float).eps)
-# A gc:4 pair at n = 64 whose width-4 stack fails the scattering check (the
-# gc THETA_SYM_TOL defect): trial 2489 of a tc_adversarial sweep with seed 3.
+# Trial 2489 of a tc_adversarial sweep with seed 3 at n = 64: a gc:4 pair whose
+# width-4 Theta stack, solved as (I + j z0 B)^-1 (I - j z0 B), failed the
+# scattering check with defects 1.059e-10 and 1.005e-10.
 FAILING_SEED = 4268808066948259505
-FAILING_MESSAGE = ("scattering matrix check failed: symmetry defect 1.059e-10, "
-                   "unitarity defect 1.005e-10")
+# Added to entry (0, 1) of a planted Theta block: its symmetry defect.
+SKEW = 1e-9
 
 
 def assert_same_figures(batch, pairs, spec):
@@ -176,15 +179,51 @@ def test_stacks_are_split_at_the_element_cap(monkeypatch):
     assert_same_figures(batch, pairs, spec)
 
 
-def test_a_failing_pair_fails_its_batch_with_its_own_message():
+def test_the_theta_sym_tol_pair_passes():
+    # 2 (I + j z0 B)^-1 - I keeps the defects of the pair that once failed
+    # at rounding level, alone and in a batch
+    assert FAILING_SEED == mix64(3, 0, 2489)
+    pair = SCENARIO_TABLE["tc_adversarial"].draw(64, Rng(FAILING_SEED))[0]
+    others = [SCENARIO_TABLE["tc_adversarial"].draw(64, Rng(k))[0] for k in range(3)]
+    spec = parse_arch("gc:4", 64)
+    theta = optimize(pair, spec).theta
+    assert theta.symmetry_defect < 1e-11 and theta.unitarity_defect < 1e-11
+    assert_same_figures(optimize_trials(others + [pair], spec), others + [pair], spec)
+
+
+def plant_theta_defect(monkeypatch, pair, label):
+    """Skew the Theta block of pair's first group under label by SKEW wherever it is mapped, alone or stacked.
+
+    The block is found by its bits, which a pair's group has in any stack.
+    Returns the construction check's message on the pair alone.
+    """
+    real = architecture._cayley
+    spec = parse_arch(label, pair.n)
+    values = optimize(pair, spec).b_matrix.blocks[0][1]
+    target = real(values[:1], DEFAULT_Z0)
+
+    def skewed(values, z0):
+        theta = real(values, z0)
+        if theta.ndim == 3 and theta.shape[1:] == target.shape[1:]:
+            theta[(theta == target).all(axis=(1, 2)), 0, 1] += SKEW
+        return theta
+
+    monkeypatch.setattr(architecture, "_cayley", skewed)
+    with pytest.raises(NumericalFailure) as alone:
+        optimize(pair, spec)
+    assert str(alone.value).startswith(
+        f"scattering matrix check failed: symmetry defect {SKEW:.3e}, unitarity defect ")
+    return str(alone.value)
+
+
+def test_a_failing_pair_fails_its_batch_with_its_own_message(monkeypatch):
     failing = SCENARIO_TABLE["tc_adversarial"].draw(64, Rng(FAILING_SEED))[0]
     others = [SCENARIO_TABLE["tc_adversarial"].draw(64, Rng(k))[0] for k in range(6)]
     spec = parse_arch("gc:4", 64)
-    with pytest.raises(NumericalFailure) as alone:
-        optimize(failing, spec)
+    message = plant_theta_defect(monkeypatch, failing, "gc:4")
     with pytest.raises(NumericalFailure) as batch:
         optimize_trials(others[:3] + [failing] + others[3:], spec)
-    assert str(alone.value) == str(batch.value) == FAILING_MESSAGE
+    assert str(batch.value) == message
     assert_same_figures(optimize_trials(others, spec), others, spec)
 
 
@@ -207,12 +246,13 @@ def test_failure_in_the_middle_of_a_batch_names_its_trial(monkeypatch):
     # names the first failing (trial, arch) in record order, as when the
     # trials ran one by one
     failing = SCENARIO_TABLE["tc_adversarial"].draw(64, Rng(FAILING_SEED))[0]
+    message = plant_theta_defect(monkeypatch, failing, "gc:4")
     plant(monkeypatch, {4, 7}, failing)
     config = ExperimentConfig(scenario="tc_adversarial", sizes=(64,), trials=10,
                               archs=("sc", "gc:4"), seed=3)
     with pytest.raises(NumericalFailure) as info:
         run_experiment(config)
-    assert str(info.value) == (f"{FAILING_MESSAGE} (scenario tc_adversarial:q=63, n = 64, "
+    assert str(info.value) == (f"{message} (scenario tc_adversarial:q=63, n = 64, "
                                f"trial 4, arch gc:4, trial seed {mix64(3, 0, 4)})")
 
 
@@ -259,6 +299,20 @@ def test_a_failed_stack_is_solved_trial_by_trial(monkeypatch):
 
     monkeypatch.setattr(experiment, "optimize_trials", stacks_fail)
     assert run_experiment(config) == expected
+
+
+def test_a_short_cell_fails_loudly(monkeypatch):
+    # a cell with fewer results than the stack has trials must not drop records
+    config = ExperimentConfig(scenario="rayleigh", sizes=(8,), trials=5, archs=("sc", "gc:2"),
+                              seed=9)
+    real = experiment.optimize_trials
+
+    def short(pairs, spec, *args):
+        return real(pairs, spec, *args)[:-1]
+
+    monkeypatch.setattr(experiment, "optimize_trials", short)
+    with pytest.raises(ValueError):
+        run_experiment(config)
 
 
 def scalar_adjacencies(s):

@@ -111,7 +111,8 @@ def test_narrow_groups_stay_dense_bit_for_bit(n):
     assert res.residual_norm == np.linalg.norm(bk @ x - y, axis=(1, 2))[0]
     jb = 1j * Z0 * bk
     (_, theta), = res.theta.blocks
-    assert np.array_equal(theta, np.linalg.solve(np.eye(n) + jb, np.eye(n) - jb))
+    eye = np.eye(n)
+    assert np.array_equal(theta, 2.0 * np.linalg.solve(eye + jb, np.broadcast_to(eye, jb.shape)) - eye)
 
 
 @pytest.mark.parametrize("z0", (1e-3, 1e4))

@@ -35,11 +35,13 @@ For --arch tc the same spans are named for what they hold there:
   tree without the operator layout, every call).
 
 --arch sweep times SWEEP_ROUNDS rounds of the Rayleigh sweep the benchmark
-runs (--sizes, SWEEP_TRIALS trials, sc and gc:4, membership on, seeds 1,
-2, ...): run_experiment plus the CSV writers, in process.  Each stage
-reports its median per round, in ms:
+runs: one in-process bdris.cli.main call of ``bdris simulate`` with the
+benchmark's arguments (--sizes, SWEEP_TRIALS trials, sc and gc:4,
+membership on, seeds 1, 2, ...), writing its records and summary CSVs to a
+temporary directory.  Each stage reports its median per round, in ms, and
+the stages sum to the total:
 
-- total: run_experiment and the CSV;
+- total: the whole cli.main call, what the benchmark's records_per_s times;
 - draw: the channel draws, through the first of DRAW_ENTRIES that
   bdris.experiment has: draw_trials (a stack's Rng, draws and ChannelStack
   check) or gen_rayleigh (one trial's draws and ChannelPair check);
@@ -48,8 +50,14 @@ reports its median per round, in ms:
 - optimize.sc, optimize.gc:4: every optimize() or optimize_trials() call
   run_experiment makes for that architecture;
 - csv: write_records_csv, summarize and write_summary_csv;
-- rest: the remainder, run_experiment's own bookkeeping;
+- cli: the rest of cli.main, that is parsing, the configuration echo and
+  opening and closing the two files;
+- rest: the remainder of run_experiment, its own bookkeeping;
 - records_per_s: the records of a round over its median total.
+
+The trees are measured one after the other, in the order given; for the
+sweep, in SWEEP_PASSES alternating passes, each figure the median over
+its tree's passes.
 
 --skip TREE:N leaves a size out for one tree.  --append adds one entry,
 with the machine, versions, this command and --note, to a trajectory file
@@ -65,6 +73,7 @@ import json
 import os
 import platform
 import shlex
+import statistics
 import subprocess
 import sys
 import time
@@ -77,11 +86,17 @@ CALLS = {8: 30, 64: 30, 256: 30, 1024: 10, 4096: 5}
 # check, received_power, and the rest of the call; for the sweep, its stages.
 LAYERS = {"fc": ("total", "cayley", "check", "power", "closed_form"),
           "tc": ("total", "factors", "check", "apply", "steering"),
-          "sweep": ("total", "draw", "membership", "optimize.sc", "optimize.gc:4", "csv", "rest")}
+          "sweep": ("total", "draw", "membership", "optimize.sc", "optimize.gc:4", "csv", "cli",
+                    "rest")}
 # The sweep round: the benchmark's rayleigh_sweep at the given sizes.
 SWEEP_ROUNDS = 30
 SWEEP_TRIALS = 25
 SWEEP_ARCHS = ("sc", "gc:4")
+# Alternating passes over the trees for --arch sweep (fc and tc make one): a
+# sweep round is short enough for host speed to drift between two trees
+# measured one after the other, so the sweep alternates the trees and
+# reports each figure's median over its passes.
+SWEEP_PASSES = 5
 # The draw and membership entry points run_experiment may call, stacked
 # first: a tree that has the stacked one calls only that one.
 DRAW_ENTRIES = ("draw_trials", "gen_rayleigh")
@@ -102,11 +117,13 @@ def timed(spans: dict, name, fn):
 
 def measure_sweep(sizes: list[int]) -> dict:
     """Median per-stage ms of one sweep round, in this interpreter."""
+    import contextlib
     import io
+    import tempfile
 
     import numpy as np
 
-    from bdris import experiment
+    from bdris import cli, experiment
 
     spans: dict[str, float] = {}
     for stage, entries in (("draw", DRAW_ENTRIES), ("membership", MEMBERSHIP_ENTRIES)):
@@ -119,27 +136,33 @@ def measure_sweep(sizes: list[int]) -> dict:
         if hasattr(experiment, entry):
             setattr(experiment, entry, timed(spans, lambda args: f"optimize.{args[1].label}",
                                              getattr(experiment, entry)))
+    # the names cli.main calls, as the benchmark's tracer wraps them
+    cli.run_experiment = timed(spans, "run", cli.run_experiment)
+    for entry in ("write_records_csv", "summarize", "write_summary_csv"):
+        setattr(cli, entry, timed(spans, "csv", getattr(cli, entry)))
+    count = len(sizes) * SWEEP_TRIALS * len(SWEEP_ARCHS)
 
-    def round_(seed: int) -> int:
-        config = experiment.ExperimentConfig(scenario="rayleigh", sizes=tuple(sizes),
-                                             trials=SWEEP_TRIALS, archs=SWEEP_ARCHS, seed=seed,
-                                             check_membership=True)
-        records = experiment.run_experiment(config)
-        start = time.perf_counter()
-        experiment.write_records_csv(records, io.StringIO())
-        experiment.write_summary_csv(experiment.summarize(records), io.StringIO())
-        spans["csv"] = time.perf_counter() - start
-        return len(records)
+    with tempfile.TemporaryDirectory() as workdir:
+        def round_(seed: int) -> None:
+            argv = ["simulate", "--scenario", "rayleigh", "--sizes", ",".join(map(str, sizes)),
+                    "--trials", str(SWEEP_TRIALS), "--arch", ",".join(SWEEP_ARCHS),
+                    "--seed", str(seed), "--out", os.path.join(workdir, "records.csv"),
+                    "--summary", os.path.join(workdir, "summary.csv"), "--threads", "2",
+                    "--check-membership"]
+            with contextlib.redirect_stderr(io.StringIO()):
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"simulate failed on seed {seed}")
 
-    round_(0)  # warm-up
-    rows = []
-    for seed in range(1, SWEEP_ROUNDS + 1):
-        spans.clear()
-        start = time.perf_counter()
-        count = round_(seed)
-        total = time.perf_counter() - start
-        stages = [spans.get(name, 0.0) for name in LAYERS["sweep"][1:-1]]
-        rows.append([total, *stages, total - sum(stages)])
+        round_(0)  # warm-up
+        rows = []
+        for seed in range(1, SWEEP_ROUNDS + 1):
+            spans.clear()
+            start = time.perf_counter()
+            round_(seed)
+            total = time.perf_counter() - start
+            stages = [spans.get(name, 0.0) for name in LAYERS["sweep"][1:-2]]
+            run = spans["run"]
+            rows.append([total, *stages, total - run - spans["csv"], run - sum(stages[:-1])])
     medians = np.median(np.array(rows), axis=0) * 1e3
     out = {name: round(float(v), 4) for name, v in zip(LAYERS["sweep"], medians)}
     out.update(records=count, rounds=len(rows), records_per_s=round(count / (medians[0] / 1e3), 1))
@@ -183,6 +206,17 @@ def measure(arch: str, sizes: list[int]) -> dict:
     return out
 
 
+def median_passes(passes: list[dict]) -> dict:
+    """Each figure's median over the passes of one tree, with the number of passes when more than one."""
+    if len(passes) == 1:
+        return passes[0]
+    out = {}
+    for size, figures in passes[0].items():
+        out[size] = {key: round(statistics.median(p[size][key] for p in passes), 4) for key in figures}
+        out[size]["passes"] = len(passes)
+    return out
+
+
 def environment() -> dict:
     import numpy as np
 
@@ -222,17 +256,21 @@ def main(argv=None) -> int:
              "command": " ".join(["python", "tools/fc_layers.py", *map(shlex.quote, argv or sys.argv[1:])]),
              "arch": args.arch, "unit": f"ms, median per {'round' if args.arch == 'sweep' else 'call'}",
              "note": args.note, "trees": {}}
-    for spec in args.tree:
-        name, src = spec.split("=", 1)
-        keep = [n for n in sizes if f"{name}:{n}" not in args.skip]
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        run = subprocess.run([sys.executable, __file__, "--measure", "--arch", args.arch,
-                              "--sizes", ",".join(map(str, keep))],
-                             env=env, check=True, capture_output=True, text=True)
-        result = json.loads(run.stdout)
-        entry["env"] = result["env"]
-        entry["trees"][name] = result["layers"]
+    passes: dict[str, list[dict]] = {}
+    for _ in range(SWEEP_PASSES if args.arch == "sweep" else 1):
+        for spec in args.tree:
+            name, src = spec.split("=", 1)
+            keep = [n for n in sizes if f"{name}:{n}" not in args.skip]
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
+                       OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            run = subprocess.run([sys.executable, __file__, "--measure", "--arch", args.arch,
+                                  "--sizes", ",".join(map(str, keep))],
+                                 env=env, check=True, capture_output=True, text=True)
+            result = json.loads(run.stdout)
+            entry["env"] = result["env"]
+            passes.setdefault(name, []).append(result["layers"])
+    for name, layers in passes.items():
+        entry["trees"][name] = median_passes(layers)
     if not args.append:
         json.dump(entry, sys.stdout, indent=1)
         print()

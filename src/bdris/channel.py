@@ -4,9 +4,9 @@ All randomness flows through ``Rng``, a counter-based SplitMix64 stream.
 Pure 64-bit integer mixing plus IEEE-754 arithmetic makes every draw
 reproducible bit for bit across platforms and library versions, which the
 experiment harness relies on for byte-identical output.  An Rng over an
-array of seeds is one stream per seed, so the Rayleigh and line-of-sight
-generators draw a whole stack of trials (rayleigh_channels, los_channels)
-as one uint64 array, each row the pair its seed gives alone.
+array of seeds is one stream per seed: a *_channels generator draws a row
+per seed, the pair its seed gives alone (gen_* at one stream), and raises
+at the first row it cannot draw, with error.valid the rows before it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ _MIX2 = 0x94D049BB133111EB
 # Swapped-pair moduli closer than this (relative) put the membership test
 # on a knife edge, so such draws are rejected.
 _SWAP_MODULI_RTOL = 1e-6
-# Rejected draws allowed per gen_tc_adversarial call.
+# Attempts allowed per row of tc_adversarial_channels.
 _SWAP_MAX_RETRIES = 100
 
 
@@ -98,6 +98,14 @@ class Rng:
         phase = 2.0 * np.pi * self.uniform(n)
         return mag * np.exp(1j * phase)
 
+    def blocks(self, count: int, width: int) -> Rng:
+        """One stream per block of the next count blocks of width draws: draws of shape (..., count, k)."""
+        starts = (self._count + width * np.arange(count, dtype=np.uint64)) * np.uint64(GOLDEN_GAMMA)
+        blocks = Rng.__new__(Rng)
+        blocks._seeds, blocks._count = (self._seeds + starts)[..., None], 0
+        self._count += count * width
+        return blocks
+
 
 class RowCheck(NamedTuple):
     """check_rows of a stack: its row norms, the rows before the first that fails, and that row's error."""
@@ -114,8 +122,8 @@ def check_rows(h_r, h_t) -> RowCheck:
     A row passes when its entries are finite and ||h_r||^2 ||h_t||^2 is a
     finite positive float, the norms as np.linalg.norm rounds them
     (linalg.row_norms).  error is the InputError of the first row that
-    fails, None when every row passes, and valid the number of rows before
-    it.  A pair of vectors is one row.
+    fails, None when every row passes, and valid (also error.valid) the
+    number of rows before it.  A pair of vectors is one row.
     """
     # an overflowing norm or product is inf, and a row with a non-finite
     # entry has an inf or nan product: all are rejected below
@@ -127,11 +135,10 @@ def check_rows(h_r, h_t) -> RowCheck:
         return RowCheck(nr, nt, passes.size, None)
     t = int(np.argmin(passes))
     n = np.shape(h_r)[-1]
-    if not (np.isfinite(np.reshape(h_r, (-1, n))[t]).all()
-            and np.isfinite(np.reshape(h_t, (-1, n))[t]).all()):
-        return RowCheck(nr, nt, t, InputError("channel entries must be finite"))
-    return RowCheck(nr, nt, t, InputError("channel vectors must have positive norm and a finite "
-                                          "||h_r||^2 ||h_t||^2 (channel scale out of range)"))
+    finite = np.isfinite(np.reshape(h_r, (-1, n))[t]).all() and np.isfinite(np.reshape(h_t, (-1, n))[t]).all()
+    message = ("channel vectors must have positive norm and a finite ||h_r||^2 ||h_t||^2 (channel "
+               "scale out of range)" if finite else "channel entries must be finite")
+    return RowCheck(nr, nt, t, _at_row(InputError(message), t))
 
 
 @dataclass(frozen=True)
@@ -170,15 +177,13 @@ class ChannelStack:
     Every row passes ChannelPair's rule (check_rows); construction raises
     the error of the first row that does not, and keeps the row norms it
     computed as norms_r and norms_t.  len() is the number of pairs, and
-    stack[t] is row t as a ChannelPair: the pair itself for a stack built
-    by ChannelStack.of.
+    stack[t] is row t as a ChannelPair.
     """
 
     h_r: np.ndarray
     h_t: np.ndarray
     norms_r: np.ndarray = field(init=False, repr=False, compare=False)
     norms_t: np.ndarray = field(init=False, repr=False, compare=False)
-    _pairs = None  # the pairs a stack was built of, if any
 
     def __post_init__(self):
         h_r = np.asarray(self.h_r, dtype=complex)
@@ -199,11 +204,8 @@ class ChannelStack:
     @classmethod
     def of(cls, pairs, n: int) -> ChannelStack:
         """The stack of a sequence of pairs of length n, which may be empty."""
-        if not len(pairs):
-            return cls(np.empty((0, n), complex), np.empty((0, n), complex))
-        stack = cls(np.stack([pair.h_r for pair in pairs]), np.stack([pair.h_t for pair in pairs]))
-        object.__setattr__(stack, "_pairs", tuple(pairs))
-        return stack
+        return cls(np.array([pair.h_r for pair in pairs], complex).reshape(len(pairs), n),
+                   np.array([pair.h_t for pair in pairs], complex).reshape(len(pairs), n))
 
     @property
     def n(self) -> int:
@@ -213,8 +215,6 @@ class ChannelStack:
         return self.h_r.shape[0]
 
     def __getitem__(self, t: int) -> ChannelPair:
-        if self._pairs is not None:
-            return self._pairs[t]
         return ChannelPair(self.h_r[t], self.h_t[t])
 
 
@@ -258,28 +258,33 @@ def los_channels(n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gen_gc_favorable(n: int, group_size: int, rng: Rng) -> ChannelPair:
-    """Rayleigh h_r with h_t built so every group shares one norm ratio.
+    """Rayleigh h_r with h_t of one norm ratio on every group: gc_favorable_channels of one stream."""
+    return ChannelPair(*gc_favorable_channels(n, group_size, rng))
+
+
+def gc_favorable_channels(n: int, group_size: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """(h_r, h_t) of Rayleigh h_r and h_t of one norm ratio on every group, one row per stream of rng.
 
     h_t restricted to each group of `group_size` elements points in a
     random direction but has norm gamma * ||h_r restricted to the group||,
     with a single gamma ~ U(0.1, 10) shared by all groups.  Draw order:
     h_r, gamma, then one unit direction per group.
     """
-    _check_size(n)
-    if group_size < 1 or n % group_size:
-        raise InputError(f"group size {group_size} must divide n = {n}")
+    _check_groups(n, group_size)
     h_r = rng.complex_gaussian(n)
-    gamma = 0.1 + 9.9 * float(rng.uniform(1)[0])
-    parts = []
-    for lo in range(0, n, group_size):
-        block_norm = np.linalg.norm(h_r[lo:lo + group_size])
-        direction = normalize(rng.complex_gaussian(group_size))
-        parts.append(gamma * block_norm * direction)
-    return ChannelPair(h_r, np.concatenate(parts))
+    gamma = 0.1 + 9.9 * rng.uniform(1)
+    directions = _unit_groups(rng.blocks(n // group_size, 2 * group_size).complex_gaussian(group_size))
+    block_norms = row_norms(h_r.reshape(*h_r.shape[:-1], -1, group_size))
+    return h_r, ((gamma * block_norms)[..., None] * directions).reshape(h_r.shape)
 
 
 def gen_gc_adversarial(n: int, group_size: int, rng: Rng) -> ChannelPair:
-    """Channels that defeat group-connected surfaces of the given group size.
+    """Channels that defeat group-connected surfaces: gc_adversarial_channels of one stream."""
+    return ChannelPair(*gc_adversarial_channels(n, group_size, rng))
+
+
+def gc_adversarial_channels(n: int, group_size: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """(h_r, h_t) that defeat group-connected surfaces of the given group size, one row per stream of rng.
 
     h_r has i.i.d. uniform(-1, 1) real and imaginary parts.  h_t is
     assembled group by group as a_g * f_g / ||f_g|| with f_g drawn like h_r
@@ -287,16 +292,11 @@ def gen_gc_adversarial(n: int, group_size: int, rng: Rng) -> ChannelPair:
     generically all distinct.  Draw order: h_r real parts, h_r imaginary
     parts, then per group f_g (real parts, imaginary parts) and a_g.
     """
-    _check_size(n)
-    if group_size < 1 or n % group_size:
-        raise InputError(f"group size {group_size} must divide n = {n}")
+    _check_groups(n, group_size)
     h_r = _uniform_square(n, rng)
-    parts = []
-    for _ in range(n // group_size):
-        f = _uniform_square(group_size, rng)
-        a = float(rng.uniform_pos(1)[0])
-        parts.append(a * normalize(f))
-    return ChannelPair(h_r, np.concatenate(parts))
+    groups = rng.blocks(n // group_size, 2 * group_size + 1)
+    f = _uniform_square(group_size, groups)
+    return h_r, (groups.uniform_pos(1) * _unit_groups(f)).reshape(h_r.shape)
 
 
 def default_swap_extent(n: int) -> int:
@@ -308,7 +308,12 @@ def default_swap_extent(n: int) -> int:
 
 
 def gen_tc_adversarial(n: int, rng: Rng, q: int | None = None) -> ChannelPair:
-    """Channels whose tridiagonal steering system is rank deficient.
+    """Channels whose tridiagonal steering system is rank deficient: tc_adversarial_channels of one stream."""
+    return ChannelPair(*tc_adversarial_channels(n, rng, q))
+
+
+def tc_adversarial_channels(n: int, rng: Rng, q: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(h_r, h_t) whose tridiagonal steering system is rank deficient, one row per stream of rng.
 
     h_r is a normalized complex Gaussian; h_t copies it with adjacent
     entries (i, i+1) swapped for i = 1, 3, ..., q (1-based), planting a
@@ -317,33 +322,34 @@ def gen_tc_adversarial(n: int, rng: Rng, q: int | None = None) -> ChannelPair:
     unplanted adjacency is accidentally proportional, so accepted draws
     have cut set exactly {1, 3, ..., q}: the adjacency test is
     linalg.proportional_adjacencies, the one adversarial.cut_set uses.
+    Every stream draws a complex_gaussian of n per attempt, and a row keeps
+    its first accepted one, so a row is its stream's alone.  A row with
+    none in _SWAP_MAX_RETRIES attempts raises NumericalFailure.
     """
     _check_size(n)
-    if n < 2:
-        raise InputError("swap construction needs n >= 2")
-    if q is None:
-        q = default_swap_extent(n)
+    q = default_swap_extent(n) if q is None or n < 2 else q  # raises below n = 2
     if q % 2 == 0 or not 1 <= q <= n - 1:
         raise InputError(f"swap extent q = {q} must be odd and within [1, {n - 1}]")
-    swapped = [(i, i + 1) for i in range(0, q, 2)]
-    planted = {i + 1 for i, _ in swapped}  # 1-based, like the cuts
+    planted = set(range(1, q + 1, 2))  # 1-based, like the cuts
+    swap = np.r_[np.arange(q + 1) ^ 1, q + 1:n]  # entry order of h_t
+    h_r = np.empty(rng._seeds.shape[:-1] + (n,), complex)
+    accepted = h_r.reshape(-1, n)  # a view of h_r, one row per stream
+    pending = np.ones(len(accepted), bool)
     for _ in range(_SWAP_MAX_RETRIES):
-        h = rng.complex_gaussian(n)
-        nrm = np.linalg.norm(h)
-        if nrm == 0.0:
-            continue
-        h = h / nrm
+        rows = np.flatnonzero(pending)
+        h = rng.complex_gaussian(n).reshape(-1, n)[rows]
+        nrm = row_norms(h)
+        rows, h = rows[nrm != 0.0], h[nrm != 0.0] / nrm[nrm != 0.0, None]
         mod = np.abs(h)
-        if any(abs(mod[i] - mod[j]) <= _SWAP_MODULI_RTOL * max(mod[i], mod[j]) for i, j in swapped):
-            continue
-        t = h.copy()
-        for i, j in swapped:
-            t[i], t[j] = h[j], h[i]
-        cuts, _ = proportional_adjacencies(h + t)
-        if not planted.issuperset(cuts):  # an accidental proportional adjacency
-            continue
-        return ChannelPair(h, t)
-    raise NumericalFailure(f"no acceptable swap-construction draw in {_SWAP_MAX_RETRIES} attempts")
+        near = np.abs(mod - mod[:, swap]) <= _SWAP_MODULI_RTOL * np.maximum(mod, mod[:, swap])
+        far = np.flatnonzero(~near[:, :q + 1].any(axis=1))
+        keep = far[[planted.issuperset(cuts) for cuts, _ in
+                    proportional_adjacencies(h[far] + h[far][:, swap])]]
+        accepted[rows[keep]], pending[rows[keep]] = h[keep], False
+        if not pending.any():
+            return h_r, h_r[..., swap]
+    raise _at_row(NumericalFailure(f"no acceptable swap-construction draw in {_SWAP_MAX_RETRIES} "
+                                   f"attempts"), int(np.argmax(pending)))
 
 
 def write_channel_json(pair: ChannelPair, fp) -> None:
@@ -389,6 +395,27 @@ def read_channel_json(fp) -> ChannelPair:
 def _check_size(n) -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InputError(f"channel length must be a positive integer, got {n!r}")
+
+
+def _check_groups(n, group_size) -> None:
+    _check_size(n)
+    if group_size < 1 or n % group_size:
+        raise InputError(f"group size {group_size} must divide n = {n}")
+
+
+def _at_row(error: Exception, valid: int) -> Exception:
+    """error, as a generator's failure at the row after the first valid rows (error.valid)."""
+    error.valid = valid
+    return error
+
+
+def _unit_groups(v: np.ndarray) -> np.ndarray:
+    """normalize() of every group of each stream's (groups, width) draw; fails at a stream's zero group."""
+    norms = row_norms(v)
+    zero = np.ravel((norms == 0.0).any(axis=-1))
+    if zero.any():
+        raise _at_row(InputError("cannot normalize a zero vector"), int(np.argmax(zero)))
+    return v / norms[..., None]
 
 
 def _uniform_square(n: int, rng: Rng) -> np.ndarray:

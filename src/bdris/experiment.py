@@ -4,11 +4,11 @@ One channel pair is drawn per (size, trial) from its own derived seed and
 shared by every architecture, so architectures see paired trials.  A size's
 trials run in stacks of at most optimize._STACK_ELEMENTS surface elements,
 each one pass of draws, validation and membership: the trial seeds are one
-uint64 array, Rayleigh and line-of-sight pairs are drawn as its rows by one
-Rng over it (the other scenarios draw trial by trial), every row is checked
-by ChannelPair's rule at once (ChannelStack), and membership searches every
-row for cuts at once (adversarial.tc_membership).  Each trial is still a
-pure function of its seed, bit for bit the pair Rng(seed) draws alone.
+uint64 array, every scenario's generator draws the pairs as its rows by
+one Rng over it, every row is checked by ChannelPair's rule at once
+(ChannelStack), and membership searches every row for cuts at once
+(adversarial.tc_membership).  Each trial is still a pure function of its
+seed, bit for bit the pair Rng(seed) draws alone.
 Each (size, architecture) cell of a stack is then solved by one
 optimize_trials call, whose TrialResult rows become TrialRecord rows,
 both NamedTuples built positionally.  The CSV writers format each record
@@ -27,9 +27,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# is_tc_adversarial and optimize are not called here, but stay importable by
-# these names: the benchmark tracer (perfbench/tracer.py) wraps
-# bdris.experiment.is_tc_adversarial and bdris.experiment.optimize
+# gen_rayleigh, is_tc_adversarial and optimize are not called here, but stay
+# importable by these names: the benchmark tracer (perfbench/tracer.py)
+# wraps bdris.experiment.gen_rayleigh, .is_tc_adversarial and .optimize
 from .adversarial import is_tc_adversarial, tc_membership
 from .architecture import DEFAULT_Z0, ArchitectureSpec, parse_arch
 from .channel import (
@@ -37,16 +37,14 @@ from .channel import (
     ChannelStack,
     GOLDEN_GAMMA,
     Rng,
-    check_rows,
     default_swap_extent,
-    gen_gc_adversarial,
-    gen_gc_favorable,
-    gen_los,
+    gc_adversarial_channels,
+    gc_favorable_channels,
     gen_rayleigh,
-    gen_tc_adversarial,
     los_channels,
     rayleigh_channels,
     splitmix64_array,
+    tc_adversarial_channels,
 )
 from .errors import InputError, NumericalFailure
 from .optimize import _STACK_ELEMENTS, optimize, optimize_trials
@@ -63,14 +61,13 @@ SUMMARY_HEADER = "scenario,n,arch,trials,mean_ratio,std_ratio,min_ratio,max_rati
 
 @dataclass(frozen=True)
 class Scenario:
-    """How one scenario draws its channel pair at a given size.
+    """How one scenario draws its channel pairs at a given size.
 
-    generate(n, rng, group_size, q) calls the generator.  It looks the
-    generator up by name in this module at every call, so a wrapper set on
-    that name later (the benchmark tracer's, a test's) sees every draw.
-    rows(n, rng), where given, is the same generator for a stack of
-    streams: it returns (h_r, h_t) with one row per stream of rng, and
-    generate is its one-stream case.  group_sizes is empty for scenarios
+    channels(n, rng, group_size, q) calls the scenario's generator, which
+    returns (h_r, h_t) with one row per stream of rng and raises at the
+    first row it cannot draw (channel.py).  It looks the generator up by
+    name in this module at every call, so a wrapper set on that name later
+    (a test's, a tracer's) sees every draw.  group_sizes is empty for scenarios
     without a group structure; otherwise its first entry is the default
     group size and any later one is what the oracle mix falls back to when
     the default does not divide n.  A scenario with swaps has a swap extent
@@ -78,10 +75,9 @@ class Scenario:
     """
 
     name: str
-    generate: Callable[[int, Rng, int | None, int | None], ChannelPair]
+    channels: Callable[[int, Rng, int | None, int | None], tuple[np.ndarray, np.ndarray]]
     group_sizes: tuple[int, ...] = ()
     swaps: bool = False
-    rows: Callable[[int, Rng], tuple[np.ndarray, np.ndarray]] | None = None
 
     def resolve(self, n: int, group_size: int | None = None,
                 q: int | None = None) -> tuple[int | None, int | None]:
@@ -112,9 +108,9 @@ class Scenario:
 
     def draw(self, n: int, rng: Rng, group_size: int | None = None,
              q: int | None = None) -> tuple[ChannelPair, str]:
-        """(pair, record label) of one draw at size n."""
+        """(pair, record label) of one draw at size n: the generator at the one stream rng."""
         gs, q = self.resolve(n, group_size, q)
-        return self.generate(n, rng, gs, q), self.label(q)
+        return ChannelPair(*self.channels(n, rng, gs, q)), self.label(q)
 
     def label(self, q: int | None) -> str:
         """The record label of a draw with resolved swap extent q."""
@@ -123,13 +119,11 @@ class Scenario:
 
 
 SCENARIO_TABLE = {s.name: s for s in (
-    Scenario("rayleigh", lambda n, rng, gs, q: gen_rayleigh(n, rng),
-             rows=lambda n, rng: rayleigh_channels(n, rng)),
-    Scenario("gc_favorable", lambda n, rng, gs, q: gen_gc_favorable(n, gs, rng), (2,)),
-    Scenario("gc_adversarial", lambda n, rng, gs, q: gen_gc_adversarial(n, gs, rng), (4, 2)),
-    Scenario("tc_adversarial", lambda n, rng, gs, q: gen_tc_adversarial(n, rng, q), swaps=True),
-    Scenario("los", lambda n, rng, gs, q: gen_los(n, rng),
-             rows=lambda n, rng: los_channels(n, rng)),
+    Scenario("rayleigh", lambda n, rng, gs, q: rayleigh_channels(n, rng)),
+    Scenario("gc_favorable", lambda n, rng, gs, q: gc_favorable_channels(n, gs, rng), (2,)),
+    Scenario("gc_adversarial", lambda n, rng, gs, q: gc_adversarial_channels(n, gs, rng), (4, 2)),
+    Scenario("tc_adversarial", lambda n, rng, gs, q: tc_adversarial_channels(n, rng, q), swaps=True),
+    Scenario("los", lambda n, rng, gs, q: los_channels(n, rng)),
 )}
 SCENARIOS = tuple(SCENARIO_TABLE)
 # Order in which oracle runs cycle through the scenarios.
@@ -281,30 +275,23 @@ def draw_trials(scenario: Scenario, n: int, seeds: np.ndarray, group_size: int |
                 q: int | None = None) -> tuple[ChannelStack, str, Exception | None]:
     """(stack, label, error): the pairs at size n of the trials with these uint64 seeds, in order.
 
-    A scenario with a row generator draws every pair at once from
-    Rng(seeds), each row the pair Rng(seed) gives alone, and checks the
-    rows at once; any other scenario draws trial by trial from Rng(seed).
-    The stack holds the pairs before the first draw that fails, by raising
-    InputError or NumericalFailure or by failing ChannelPair's rule, and
-    error is that failure, or None.  label is the draws' record label.
+    The scenario's generator draws every pair at once from Rng(seeds),
+    each row the pair Rng(seed) gives alone, and the rows are checked at
+    once.  The stack holds the pairs before the first draw that fails, by
+    the generator's InputError or NumericalFailure (the rows before it
+    drawn again) or by failing ChannelPair's rule, and error is that
+    failure, or None.  label is the draws' record label.
     """
     gs, q = scenario.resolve(n, group_size, q)
-    label = scenario.label(q)
-    if scenario.rows is not None:
-        h_r, h_t = scenario.rows(n, Rng(seeds))
-        try:
-            return ChannelStack(h_r, h_t), label, None
-        except InputError as exc:
-            valid = check_rows(h_r, h_t).valid
-            return ChannelStack(h_r[:valid], h_t[:valid]), label, exc
-    pairs, error = [], None
-    for seed in seeds.tolist():
-        try:
-            pairs.append(scenario.generate(n, Rng(seed), gs, q))
-        except (InputError, NumericalFailure) as exc:
-            error = exc
-            break
-    return ChannelStack.of(pairs, n), label, error
+    label, error = scenario.label(q), None
+    try:
+        h_r, h_t = scenario.channels(n, Rng(seeds), gs, q)
+    except (InputError, NumericalFailure) as exc:
+        error, (h_r, h_t) = exc, scenario.channels(n, Rng(seeds[:exc.valid]), gs, q)
+    try:
+        return ChannelStack(h_r, h_t), label, error
+    except InputError as exc:
+        return ChannelStack(h_r[:exc.valid], h_t[:exc.valid]), label, exc
 
 
 def _solve_stack(config: ExperimentConfig, n: int, specs, stack: ChannelStack, label: str,

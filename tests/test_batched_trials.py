@@ -35,12 +35,18 @@ from bdris.channel import (
     ChannelStack,
     Rng,
     check_rows,
+    default_swap_extent,
+    gc_adversarial_channels,
+    gc_favorable_channels,
+    gen_gc_adversarial,
+    gen_gc_favorable,
     gen_los,
     gen_rayleigh,
     gen_tc_adversarial,
     los_channels,
     normalize,
     rayleigh_channels,
+    tc_adversarial_channels,
 )
 from bdris.errors import InputError, NumericalFailure
 from bdris.experiment import (
@@ -68,6 +74,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 optimize_module = importlib.import_module("bdris.optimize")
+channel = importlib.import_module("bdris.channel")
 experiment = importlib.import_module("bdris.experiment")
 architecture = importlib.import_module("bdris.architecture")
 
@@ -228,17 +235,25 @@ def test_a_failing_pair_fails_its_batch_with_its_own_message(monkeypatch):
 
 
 def plant(monkeypatch, at, failing=None, draw_error=None):
-    """Make the tc_adversarial draws of the given trial indexes return the failing pair, or raise."""
-    real = experiment.gen_tc_adversarial
-    calls = []
+    """Make the tc_adversarial rows of the given trial indexes the failing pair's, or fail at a row.
 
-    def generate(n, rng, q=None):
-        calls.append(n)
-        if draw_error is not None and len(calls) - 1 == draw_error:
-            raise NumericalFailure("planted draw failure")
-        return failing if len(calls) - 1 in at else real(n, rng, q)
+    A sweep's trials here are one draw stack, so a row index is its trial
+    index.  A row that fails to draw raises as the generator reports it,
+    with the rows before it as valid.
+    """
+    real = experiment.tc_adversarial_channels
 
-    monkeypatch.setattr(experiment, "gen_tc_adversarial", generate)
+    def channels(n, rng, q=None):
+        h_r, h_t = real(n, rng, q)
+        if draw_error is not None and draw_error < len(h_r):
+            error = NumericalFailure("planted draw failure")
+            error.valid = draw_error
+            raise error
+        for t in at & set(range(len(h_r))):
+            h_r[t], h_t[t] = failing.h_r, failing.h_t
+        return h_r, h_t
+
+    monkeypatch.setattr(experiment, "tc_adversarial_channels", channels)
 
 
 def test_failure_in_the_middle_of_a_batch_names_its_trial(monkeypatch):
@@ -257,11 +272,12 @@ def test_failure_in_the_middle_of_a_batch_names_its_trial(monkeypatch):
 
 
 def _failing_on(target):
-    """optimize_tc, raising NumericalFailure on the target pair."""
+    """optimize_tc, raising NumericalFailure on a pair of the target's values."""
     real = optimize_module.optimize_tc
 
     def optimize_tc(pair, z0):
-        if pair is target:
+        if np.array_equal(bits(pair.h_r), bits(target.h_r)) and np.array_equal(bits(pair.h_t),
+                                                                              bits(target.h_t)):
             raise NumericalFailure("tc failed")
         return real(pair, z0)
 
@@ -453,33 +469,191 @@ def test_stacked_draws_match_per_seed_draws(n):
         rows = getattr(stacked, draw)(n)
         assert rows.shape == (len(seeds), n)
         assert np.array_equal(bits(rows), bits(np.stack([getattr(r, draw)(n) for r in alone])))
-    for stack_gen, pair_gen in ((rayleigh_channels, gen_rayleigh), (los_channels, gen_los)):
-        h_r, h_t = stack_gen(n, Rng(seeds))
-        pairs = [pair_gen(n, Rng(int(seed))) for seed in seeds]
+    for stack_gen, pair_gen in generator_pairs(n):
+        h_r, h_t = stack_gen(Rng(seeds))
+        pairs = [pair_gen(Rng(int(seed))) for seed in seeds]
         assert np.array_equal(bits(h_r), bits(np.stack([p.h_r for p in pairs])))
         assert np.array_equal(bits(h_t), bits(np.stack([p.h_t for p in pairs])))
 
 
-@pytest.mark.parametrize("n", [1, 2, 8])
+def generator_pairs(n):
+    """(stacked, one-stream) functions of an Rng, of every generator and parameter that fits size n."""
+    found = [(lambda rng: rayleigh_channels(n, rng), lambda rng: gen_rayleigh(n, rng)),
+             (lambda rng: los_channels(n, rng), lambda rng: gen_los(n, rng))]
+    for gs in (1, 2, 3, 4):
+        if n % gs == 0:
+            found += [(lambda rng, gs=gs: gc_favorable_channels(n, gs, rng),
+                       lambda rng, gs=gs: gen_gc_favorable(n, gs, rng)),
+                      (lambda rng, gs=gs: gc_adversarial_channels(n, gs, rng),
+                       lambda rng, gs=gs: gen_gc_adversarial(n, gs, rng))]
+    for q in ((1, None) if n >= 2 else ()):
+        found.append((lambda rng, q=q: tc_adversarial_channels(n, rng, q),
+                      lambda rng, q=q: gen_tc_adversarial(n, rng, q)))
+    return found
+
+
+def gaussians(stream, n):
+    """n complex Gaussians of a stream, restated from its uniforms: moduli first, then phases."""
+    mag = np.sqrt(-np.log(stream.uniform_pos(n)))
+    phase = 2.0 * np.pi * stream.uniform(n)
+    return mag * np.exp(1j * phase)
+
+
+def square(stream, n):
+    """n entries with uniform(-1, 1) real and imaginary parts, restated from a stream's uniforms."""
+    re = 2.0 * stream.uniform(n) - 1.0
+    im = 2.0 * stream.uniform(n) - 1.0
+    return re + 1j * im
+
+
+def reference_gc_favorable(n, gs, stream):
+    """gc_favorable's draws as the loop over groups they once were."""
+    h_r = gaussians(stream, n)
+    gamma = 0.1 + 9.9 * float(stream.uniform(1)[0])
+    parts = []
+    for lo in range(0, n, gs):
+        block_norm = np.linalg.norm(h_r[lo:lo + gs])
+        direction = gaussians(stream, gs)
+        parts.append(gamma * block_norm * (direction / np.linalg.norm(direction)))
+    return h_r, np.concatenate(parts)
+
+
+def reference_gc_adversarial(n, gs, stream):
+    """gc_adversarial's draws as the loop over groups they once were."""
+    h_r = square(stream, n)
+    parts = []
+    for _ in range(n // gs):
+        f = square(stream, gs)
+        a = float(stream.uniform_pos(1)[0])
+        parts.append(a * (f / np.linalg.norm(f)))
+    return h_r, np.concatenate(parts)
+
+
+def reference_tc_adversarial(n, stream, q, attempts):
+    """tc_adversarial's draws as the loop over attempts they once were, each attempt counted in attempts."""
+    swapped = [(i, i + 1) for i in range(0, q, 2)]
+    planted = {i + 1 for i, _ in swapped}
+    for _ in range(channel._SWAP_MAX_RETRIES):
+        attempts.append(n)
+        h = gaussians(stream, n)
+        nrm = np.linalg.norm(h)
+        if nrm == 0.0:
+            continue
+        h = h / nrm
+        mod = np.abs(h)
+        rtol = channel._SWAP_MODULI_RTOL
+        if any(abs(mod[i] - mod[j]) <= rtol * max(mod[i], mod[j]) for i, j in swapped):
+            continue
+        t = h.copy()
+        for i, j in swapped:
+            t[i], t[j] = h[j], h[i]
+        cuts, _ = proportional_adjacencies(h + t)
+        if planted.issuperset(cuts):
+            return h, t
+    raise NumericalFailure(f"no acceptable swap-construction draw in {channel._SWAP_MAX_RETRIES} "
+                           "attempts")
+
+
+def assert_same_pair(pair, expected):
+    assert np.array_equal(bits(pair.h_r), bits(expected[0]))
+    assert np.array_equal(bits(pair.h_t), bits(expected[1]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 8])
 def test_one_stream_generators_keep_their_draw_order(n):
-    # gen_rayleigh and gen_los against their documented draw order, restated
-    # from one stream's uniforms, the gains as Python floats
+    # every one-stream generator against its documented draw order, restated
+    # from one stream's uniforms, the gains as Python floats, the group and
+    # swap generators as the loops they once were
     for seed in (0, 9, MASK64):
-        pair = gen_rayleigh(n, Rng(seed))
+        for gs in (1, 2, 3):
+            if n % gs == 0:
+                assert_same_pair(gen_gc_favorable(n, gs, Rng(seed)),
+                                 reference_gc_favorable(n, gs, Rng(seed)))
+                assert_same_pair(gen_gc_adversarial(n, gs, Rng(seed)),
+                                 reference_gc_adversarial(n, gs, Rng(seed)))
+        for q in ((1, None) if n >= 2 else ()):
+            assert_same_pair(gen_tc_adversarial(n, Rng(seed), q),
+                             reference_tc_adversarial(n, Rng(seed), q or default_swap_extent(n), []))
         stream = Rng(seed)
-        mag_r = np.sqrt(-np.log(stream.uniform_pos(n)))
-        phase_r = 2.0 * np.pi * stream.uniform(n)
-        mag_t = np.sqrt(-np.log(stream.uniform_pos(n)))
-        phase_t = 2.0 * np.pi * stream.uniform(n)
-        assert np.array_equal(bits(pair.h_r), bits(mag_r * np.exp(1j * phase_r)))
-        assert np.array_equal(bits(pair.h_t), bits(mag_t * np.exp(1j * phase_t)))
-        pair = gen_los(n, Rng(seed))
+        assert_same_pair(gen_rayleigh(n, Rng(seed)), (gaussians(stream, n), gaussians(stream, n)))
         stream = Rng(seed)
         c = [0.1 + 9.9 * float(v) for v in stream.uniform(2)]
         phi = 2.0 * np.pi * stream.uniform(n)
         psi = 2.0 * np.pi * stream.uniform(n)
-        assert np.array_equal(bits(pair.h_r), bits(c[0] * np.exp(1j * phi)))
-        assert np.array_equal(bits(pair.h_t), bits(c[1] * np.exp(1j * psi)))
+        assert_same_pair(gen_los(n, Rng(seed)), (c[0] * np.exp(1j * phi), c[1] * np.exp(1j * psi)))
+
+
+@pytest.mark.parametrize("n,q,rtol", [(2, 1, 0.6), (8, 1, 0.6), (8, None, 0.2), (9, None, 0.2)])
+def test_tc_rows_keep_their_first_accepted_attempt(monkeypatch, n, q, rtol):
+    # a wide moduli tolerance rejects most attempts (of one swapped pair or
+    # of four), so rows accept at different attempts: each row is the one
+    # its stream gives alone
+    monkeypatch.setattr(channel, "_SWAP_MODULI_RTOL", rtol)
+    seeds = trial_seeds(11, 0, np.arange(40))
+    h_r, h_t = tc_adversarial_channels(n, Rng(seeds), q)
+    attempts = []
+    for t, seed in enumerate(seeds.tolist()):
+        expected = reference_tc_adversarial(n, Rng(seed), q or default_swap_extent(n), attempts)
+        assert_same_pair(ChannelPair(h_r[t], h_t[t]), expected)
+        assert_same_pair(gen_tc_adversarial(n, Rng(seed), q), expected)
+    assert len(attempts) > 2 * len(seeds)  # most rows took retries
+
+
+def test_an_exhausted_tc_row_fails_after_the_rows_before_it(monkeypatch):
+    # with two attempts a row, some rows find no acceptable draw: the stack
+    # holds the rows before the first, then its NumericalFailure is raised,
+    # as trial by trial
+    monkeypatch.setattr(channel, "_SWAP_MODULI_RTOL", 0.2)
+    monkeypatch.setattr(channel, "_SWAP_MAX_RETRIES", 2)
+    n = 8
+    seeds = trial_seeds(11, 0, np.arange(40))
+    alone = []
+    for seed in seeds.tolist():
+        try:
+            alone.append(gen_tc_adversarial(n, Rng(seed)))
+        except NumericalFailure as exc:
+            message = str(exc)
+            break
+    assert 0 < len(alone) < len(seeds)
+    assert message == "no acceptable swap-construction draw in 2 attempts"
+    with pytest.raises(NumericalFailure) as stacked:
+        tc_adversarial_channels(n, Rng(seeds))
+    assert str(stacked.value) == message and stacked.value.valid == len(alone)
+    stack, _, error = experiment.draw_trials(SCENARIO_TABLE["tc_adversarial"], n, seeds)
+    assert type(error) is NumericalFailure and str(error) == message
+    assert len(stack) == len(alone)
+    for t, pair in enumerate(alone):
+        assert_same_pair(stack[t], (pair.h_r, pair.h_t))
+    # a sweep solves and records those trials, then raises the failure
+    solved = []
+    real = experiment.optimize_trials
+
+    def recording(pairs, spec, *args):
+        solved.append(len(pairs))
+        return real(pairs, spec, *args)
+
+    monkeypatch.setattr(experiment, "optimize_trials", recording)
+    with pytest.raises(NumericalFailure) as sweep:
+        run_experiment(ExperimentConfig(scenario="tc_adversarial", sizes=(n,), trials=40,
+                                        archs=("sc",), seed=11))
+    assert str(sweep.value) == message
+    assert solved == [len(alone)]
+
+
+def test_a_zero_group_direction_fails_at_its_stream():
+    # the group generators normalize every group of every stream at once;
+    # a zero group fails as normalize fails it, at the first stream with one
+    v = rayleigh_channels(6, Rng(np.arange(4, dtype=np.uint64)))[0].reshape(4, 3, 2)
+    expected = [[normalize(group) for group in stream] for stream in v]
+    assert np.array_equal(bits(channel._unit_groups(v)), bits(np.array(expected)))
+    assert np.array_equal(bits(channel._unit_groups(v[1])), bits(np.array(expected[1])))
+    v[3, 0] = v[2, 1] = 0.0
+    with pytest.raises(InputError) as alone:
+        normalize(v[2, 1])
+    for draw, valid in ((v, 2), (v[2], 0)):
+        with pytest.raises(InputError) as stacked:
+            channel._unit_groups(draw)
+        assert str(stacked.value) == str(alone.value) and stacked.value.valid == valid
 
 
 def test_rng_seed_forms_agree():
@@ -709,11 +883,12 @@ def test_simulate_csvs_match_the_per_trial_sweep(scenario, membership):
     assert csv_text(run_experiment(config)) == csv_text(per_trial_records(config))
 
 
-@pytest.mark.parametrize("scenario", ["rayleigh", "los"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
 def test_simulate_csvs_match_across_draw_stacks(scenario):
     # 300 trials at n = 64 take two draw stacks of _STACK_ELEMENTS // 64 = 256
-    # and 44 trials
-    config = ExperimentConfig(scenario=scenario, sizes=(1, 64), trials=300, archs=("sc",), seed=4,
-                              check_membership=True)
+    # and 44 trials; the group and swap scenarios cannot draw at n = 1
+    small = 1 if scenario in ("rayleigh", "los") else 4
+    config = ExperimentConfig(scenario=scenario, sizes=(small, 64), trials=300, archs=("sc",),
+                              seed=4, check_membership=True)
     assert optimize_module._STACK_ELEMENTS // 64 < config.trials
     assert csv_text(run_experiment(config)) == csv_text(per_trial_records(config))

@@ -1,4 +1,4 @@
-"""Per-layer times of one fc or tc optimize() call per surface size, or of one sweep round's stages.
+"""Per-layer times of fc or tc optimize() calls, of a sweep round's stages, or of the acceptance sweeps.
 
 Usage, from the repository root:
 
@@ -10,6 +10,9 @@ Usage, from the repository root:
 
     python tools/fc_layers.py --arch sweep --tree before=PATH/TO/OLD/src --tree after=src \
         --sizes 8,16,32,64 --append BENCH_trajectory.json
+
+    python tools/fc_layers.py --arch acceptance --tree before=PATH/TO/OLD/src --tree after=src \
+        --append BENCH_trajectory.json
 
 Each tree is measured in its own interpreter, with PYTHONPATH set to its
 src directory and BLAS pinned to one thread.  For fc and tc, the calls run
@@ -55,9 +58,17 @@ the stages sum to the total:
 - rest: the remainder of run_experiment, its own bookkeeping;
 - records_per_s: the records of a round over its median total.
 
+--arch acceptance times the Monte Carlo sweeps of acceptance criteria 2-5
+(tests/test_acceptance.py) end to end: per criterion, one in-process
+bdris.cli.main call of ``bdris simulate`` with that criterion's
+configuration (ACCEPTANCE_SWEEPS, seed 0, worker cap 8), writing its
+records and summary CSVs to a temporary directory, after one small
+warm-up call.  Each criterion reports total (the call, in ms), its
+records, and records_per_s; --sizes does not apply.
+
 The trees are measured one after the other, in the order given; for the
-sweep, in SWEEP_PASSES alternating passes, each figure the median over
-its tree's passes.
+sweep and the acceptance sweeps, in SWEEP_PASSES alternating passes, each
+figure the median over its tree's passes.
 
 --skip TREE:N leaves a size out for one tree.  --append adds one entry,
 with the machine, versions, this command and --note, to a trajectory file
@@ -87,20 +98,34 @@ CALLS = {8: 30, 64: 30, 256: 30, 1024: 10, 4096: 5}
 LAYERS = {"fc": ("total", "cayley", "check", "power", "closed_form"),
           "tc": ("total", "factors", "check", "apply", "steering"),
           "sweep": ("total", "draw", "membership", "optimize.sc", "optimize.gc:4", "csv", "cli",
-                    "rest")}
+                    "rest"),
+          "acceptance": ("total", "records", "records_per_s")}
 # The sweep round: the benchmark's rayleigh_sweep at the given sizes.
 SWEEP_ROUNDS = 30
 SWEEP_TRIALS = 25
 SWEEP_ARCHS = ("sc", "gc:4")
-# Alternating passes over the trees for --arch sweep (fc and tc make one): a
-# sweep round is short enough for host speed to drift between two trees
-# measured one after the other, so the sweep alternates the trees and
-# reports each figure's median over its passes.
+# Alternating passes over the trees for --arch sweep and acceptance (fc and
+# tc make one): a sweep is short enough for host speed to drift between two
+# trees measured one after the other, so these alternate the trees and
+# report each figure's median over their passes.
 SWEEP_PASSES = 5
+# What a figure is the median over, for the alternating modes.
+UNITS = {"sweep": "round", "acceptance": "sweep"}
 # The draw and membership entry points run_experiment may call, stacked
 # first: a tree that has the stacked one calls only that one.
 DRAW_ENTRIES = ("draw_trials", "gen_rayleigh")
 MEMBERSHIP_ENTRIES = ("tc_membership", "is_tc_adversarial")
+# The simulate arguments of acceptance criteria 2-5, as tests/test_acceptance.py runs them.
+ACCEPTANCE_SWEEPS = {
+    "criterion_2": ("--scenario", "rayleigh", "--sizes", "8,16,32,64", "--trials", "1000",
+                    "--arch", "sc,gc:2,gc:4,tc"),
+    "criterion_3": ("--scenario", "gc_favorable", "--sizes", "8,16,24,32,40,48,56,64",
+                    "--trials", "500", "--arch", "gc:2,tc", "--group-size", "2"),
+    "criterion_4": ("--scenario", "gc_adversarial", "--sizes", "64", "--trials", "1000",
+                    "--arch", "tc,gc:4,gc:2", "--group-size", "4"),
+    "criterion_5": ("--scenario", "tc_adversarial", "--sizes", "64", "--trials", "1000",
+                    "--arch", "tc,gc:4,sc"),
+}
 
 
 def timed(spans: dict, name, fn):
@@ -169,10 +194,43 @@ def measure_sweep(sizes: list[int]) -> dict:
     return {",".join(map(str, sizes)): out}
 
 
+def measure_acceptance() -> dict:
+    """ms, records and records/s of one simulate call per acceptance sweep, in this interpreter."""
+    import contextlib
+    import io
+    import tempfile
+
+    from bdris import cli
+
+    out = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        records = os.path.join(workdir, "records.csv")
+
+        def simulate(args) -> float:
+            argv = ["simulate", *args, "--seed", "0", "--threads", "8", "--out", records,
+                    "--summary", os.path.join(workdir, "summary.csv")]
+            start = time.perf_counter()
+            with contextlib.redirect_stderr(io.StringIO()):
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"simulate failed: {argv}")
+            return time.perf_counter() - start
+
+        simulate(("--scenario", "rayleigh", "--sizes", "8", "--trials", "10", "--arch", "sc"))  # warm-up
+        for name, args in ACCEPTANCE_SWEEPS.items():
+            total = simulate(args)
+            with open(records) as fp:
+                count = sum(1 for _ in fp) - 1
+            out[name] = {"total": round(total * 1e3, 1), "records": count,
+                         "records_per_s": round(count / total, 1)}
+    return out
+
+
 def measure(arch: str, sizes: list[int]) -> dict:
-    """Median per-layer ms of fc or tc optimize() at each size, or of a sweep round, in this interpreter."""
+    """Median per-layer ms of fc or tc optimize() per size, of a sweep round, or of the acceptance sweeps."""
     if arch == "sweep":
         return measure_sweep(sizes)
+    if arch == "acceptance":
+        return measure_acceptance()
     import numpy as np
 
     from bdris import architecture, optimize
@@ -254,10 +312,10 @@ def main(argv=None) -> int:
         return 0
     entry = {"date": datetime.date.today().isoformat(),
              "command": " ".join(["python", "tools/fc_layers.py", *map(shlex.quote, argv or sys.argv[1:])]),
-             "arch": args.arch, "unit": f"ms, median per {'round' if args.arch == 'sweep' else 'call'}",
+             "arch": args.arch, "unit": f"ms, median per {UNITS.get(args.arch, 'call')}",
              "note": args.note, "trees": {}}
     passes: dict[str, list[dict]] = {}
-    for _ in range(SWEEP_PASSES if args.arch == "sweep" else 1):
+    for _ in range(SWEEP_PASSES if args.arch in UNITS else 1):
         for spec in args.tree:
             name, src = spec.split("=", 1)
             keep = [n for n in sizes if f"{name}:{n}" not in args.skip]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -348,15 +349,24 @@ def write_records_csv(records, fp) -> None:
     The in_a column appears only when membership was recorded.  A field
     holding a comma (a gc:I= label with several cuts) is quoted, RFC 4180,
     as csv.writer quotes it.  The file is written at once, one formatted
-    line per record.
+    line per record.  A p_bar_full equal to the record before's, as the
+    architectures of one trial share it, reuses that record's string, and a
+    residual of +0.0 (every sc record) is written as 0.0 without
+    formatting; a float's string depends only on its value and sign.
     """
     with_membership = any(r.in_a is not None for r in records)
     quoted = _Quoted()
     lines = [RECORD_HEADER + (",in_a\n" if with_membership else "\n")]
+    last_full, full_text = math.nan, ""
     for scenario, n, arch, trial, seed, p_r, p_bar_full, ratio, residual, consistent, in_a in records:
         member = ("," if in_a is None else ",true" if in_a else ",false") if with_membership else ""
+        # equal values share a string, but 0.0 and -0.0 are equal
+        if p_bar_full != last_full or not p_bar_full:
+            last_full, full_text = p_bar_full, repr(float(p_bar_full))
+        positive_zero = residual == 0.0 and math.copysign(1.0, residual) == 1.0
+        residual_text = "0.0" if positive_zero else repr(float(residual))
         lines.append(f"{quoted[scenario]},{n},{quoted[arch]},{trial},{seed},{float(p_r)!r},"
-                     f"{float(p_bar_full)!r},{float(ratio)!r},{float(residual)!r},"
+                     f"{full_text},{float(ratio)!r},{residual_text},"
                      f"{'true' if consistent else 'false'}{member}\n")
     fp.write("".join(lines))
 

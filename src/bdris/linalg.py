@@ -112,7 +112,12 @@ def check_symmetric_unitary(m) -> MatrixCheck:
     """Measure how far a square matrix, a stack of them, or a Cayley operator is from symmetric unitary.
 
     For a matrix, defects are max-abs-entry norms of M - M^T and M^H M - I,
-    the maximum over the stack for shape (g, w, w).  For a TridiagonalLDL,
+    the maximum over the stack for shape (g, w, w), in real arithmetic on M
+    = R + jI: M^H M - I = (R^T R + I^T I - I) + j (R^T I - (R^T I)^T), the
+    first term one real product of [R; I] with itself, and M - M^T = (R -
+    R^T) + j (I - I^T), each modulus the square root of a sum of squares.
+    A stack of 1 x 1 blocks (all of sc) is checked entry by entry: its
+    symmetry defect is 0 and M^H M = R^2 + I^2.  For a TridiagonalLDL,
     they are bounds on those of Theta' = 2 (L D L^T)^-1 - I in O(n) work
     (_tridiagonal_bound): the dense matrix is never formed.  The check
     passes when the defects are within THETA_SYM_TOL and THETA_UNITARY_TOL.
@@ -127,8 +132,31 @@ def check_symmetric_unitary(m) -> MatrixCheck:
     m = np.asarray(m, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise InputError(f"expected a nonempty square matrix or stack of them, got shape {m.shape}")
-    sym = float(np.max(np.abs(m - m.swapaxes(-1, -2))))
-    uni = float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))))
+    width = m.shape[-1]
+    if width == 1:
+        # a 1 x 1 block is its own transpose, and Theta^H Theta = R^2 + I^2
+        sym = 0.0
+        gram = m.real * m.real
+        gram += m.imag * m.imag
+        gram -= 1.0
+        uni = float(np.abs(gram).max())
+    else:
+        ri = np.concatenate((m.real, m.imag), axis=-2)  # [R; I], 2w x w
+        halves = ri.reshape(ri.shape[:-2] + (2, width, width))
+        asym = halves - halves.swapaxes(-1, -2)
+        asym *= asym
+        sym = math.sqrt((asym[..., 0, :, :] + asym[..., 1, :, :]).max())
+        # numpy takes ri^T ri as a symmetric rank-k update, which saves work
+        # on one large matrix but is slower than a general product on a
+        # stack of small blocks; a copy of ri makes it the general one
+        gram = ri.swapaxes(-1, -2) @ (ri.copy() if m.ndim == 3 else ri)
+        gram.reshape(gram.shape[:-2] + (-1,))[..., ::width + 1] -= 1.0  # the diagonal
+        cross = halves[..., 0, :, :].swapaxes(-1, -2) @ halves[..., 1, :, :]
+        skew = cross - cross.swapaxes(-1, -2)
+        gram *= gram
+        skew *= skew
+        gram += skew
+        uni = math.sqrt(gram.max())
     return MatrixCheck(sym, uni, sym <= THETA_SYM_TOL and uni <= THETA_UNITARY_TOL)
 
 

@@ -9,7 +9,8 @@ pattern's system is solved by a structured method:
 - tridiagonal: an O(n) recursion, unique at full column rank;
 - group-connected and fully connected: one batched solve per group width
   (_solve_groups), the closed-form minimum-Frobenius real symmetric
-  solution, with sc's phase alignment for width-1 and degenerate groups.
+  solution in real batched arithmetic with no LAPACK call (a QR above
+  width 4), with sc's phase alignment for width-1 and degenerate groups.
   The closed form has rank at most 4, so a group wider than that (fc's
   one group among them) is handed over as its factors, never as a dense
   block.
@@ -73,6 +74,8 @@ NEAR_SINGULAR_RTOL = 1e-8
 # handed over as its factors (_closed_form_factors), a narrower one as a
 # dense block.
 _FACTOR_RANK = 4
+# The signs of a 2 x 2 adjugate: adj(G) = G[::-1, ::-1] * _ADJUGATE_SIGNS.
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # The SVD fallback of a width-w group builds a real 2w x w(w + 1)/2 system
 # (about 8.6 GB at w = 1024).  Above this many bytes it raises
 # NumericalFailure instead of allocating it.
@@ -522,13 +525,25 @@ def _solve_groups(idx, h_r, h_t, z0: float):
     degenerate group (hr_hat ~ -ht_hat, vanishing alpha) gets per-element
     phasing, sc's closed form, which meets the group bound; both report
     zero residual and ||rhs||.  Any other group takes the minimum-Frobenius
-    real symmetric B with B X = Y, X = [Re alpha, Im alpha], Y = [Re beta,
-    Im beta]: Y X+ + X+^T Y^T - X+^T X^T Y X+, X+ = (X^T X)^-1 X^T, which
-    exists exactly when X^T Y is symmetric, as per-group normalization
-    guarantees.  Only a group whose Gram determinant is at most
-    NEAR_SINGULAR_RTOL times the product of its diagonal, or whose residual
-    fails CONSISTENT_RTOL, goes to minimum-norm least squares on its
-    real-stacked system.
+    real symmetric B with B X = Y, X = [Re alpha, Im alpha] = [-z0 Im s,
+    z0 Re s] with s = hr_hat + ht_hat, Y = [Re beta, Im beta]: Y X+ + X+^T
+    Y^T - X+^T X^T Y X+, X+ = (X^T X)^-1 X^T, which exists exactly when X^T
+    Y is symmetric, as per-group normalization guarantees.  Only a group
+    whose Gram determinant is at most NEAR_SINGULAR_RTOL times the product
+    of its diagonal, or whose residual fails CONSISTENT_RTOL, goes to
+    minimum-norm least squares on its real-stacked system.
+
+    Everything before the fallback is real arithmetic on whole stacks:
+    [X, Y]^T is built as (groups, 4, width) rows (_steering_rows), and one
+    batched product [X, Y]^T [X, Y] gives each group's Gram entries, C =
+    X^T Y and ||Y||_F.  The degenerate test reads ||s|| = ||X||_F / z0 off
+    the Gram diagonal, the near-singular test forms the Gram determinant,
+    and the closed form inverts the Gram matrix by its adjugate with that
+    determinant (_closed_form_blocks), so no LAPACK call runs here at a
+    width of at most _FACTOR_RANK.  A mask narrows the stack only when it
+    drops a group, so dead, degenerate and fallback groups cost nothing
+    when a stack has none.  Every step works group by group, so a group's
+    results do not depend on the stack around it.
 
     dense is (index, blocks), the groups held as dense blocks: all of them
     at width <= _FACTOR_RANK, where _closed_form_blocks solves, and the
@@ -538,53 +553,59 @@ def _solve_groups(idx, h_r, h_t, z0: float):
     """
     hr, ht = h_r[idx], h_t[idx]
     groups, width = idx.shape
+    # each group's real and imaginary parts in turn, one row of floats
+    hv, tv = hr.view(float), ht.view(float)
+    nr, nt = np.sqrt(np.vecdot(hv, hv)), np.sqrt(np.vecdot(tv, tv))
+    live, hv, tv, nr, nt = _narrow((nr > 0.0) & (nt > 0.0), np.arange(groups), hv, tv, nr, nt)
+    phased = live if width == 1 else live[:0]
+    closed = fallback = live[:0]
+    if width > 1 and live.size:
+        xy = _steering_rows(hv, tv, nr, nt, z0)
+        # [X, Y]^T [X, Y] holds the Gram matrix X^T X, C = X^T Y and, in its
+        # last two diagonal entries, ||Y||_F^2; the copy keeps numpy from
+        # taking the product of xy with its own transpose as a symmetric
+        # rank-k update, which is slower on small blocks
+        products = xy @ xy.swapaxes(1, 2).copy()
+        g00, g01, g11 = products[:, 0, 0], products[:, 0, 1], products[:, 1, 1]
+        det = g00 * g11 - g01 * g01
+        # ||hr_hat + ht_hat||^2 = ||X||_F^2 / z0^2 = (g00 + g11) / z0^2
+        degenerate = g00 + g11 < (z0 * _DEGENERATE_GROUP_TOL) ** 2
+        take = (det > NEAR_SINGULAR_RTOL * g00 * g11) & ~degenerate
+        regular, products, det, xy = _narrow(take, live, products, det, xy)
+        if regular.size < live.size:
+            phased, fallback = live[degenerate], live[~(take | degenerate)]
+        if width <= _FACTOR_RANK:
+            *solved, res = _closed_form_blocks(products, det, xy)
+        else:
+            *solved, res = _closed_form_factors(xy)
+        rhs = np.sqrt(products[:, 2, 2] + products[:, 3, 3])
+        ok = res <= CONSISTENT_RTOL * rhs
+        closed, res, rhs, *solved = _narrow(ok, regular, res, rhs, *solved)
+        if closed.size < regular.size:
+            fallback = np.union1d(fallback, regular[~ok])
+        if closed.size == groups:
+            if width <= _FACTOR_RANK:
+                return (idx, solved[0]), None, res, rhs
+            return None, (idx, *solved), res, rhs
     residuals = np.zeros(groups)
     rhs_norms = np.zeros(groups)
-    nr = np.linalg.norm(hr, axis=1)
-    nt = np.linalg.norm(ht, axis=1)
-    live = np.flatnonzero((nr > 0.0) & (nt > 0.0))
-    hrn = hr[live] / nr[live, None]
-    htn = ht[live] / nt[live, None]
-    phased = (width == 1) | (np.linalg.norm(hrn + htn, axis=1) < _DEGENERATE_GROUP_TOL)
-    g_phased = live[phased]
-    if g_phased.size:
-        regular = ~phased
-        live, hrn, htn = live[regular], hrn[regular], htn[regular]
-    closed = fallback = live[:0]
-    if live.size:
-        alpha, beta = _steering(hrn, htn, z0)
-        x = np.stack([alpha.real, alpha.imag], axis=2)
-        y = np.stack([beta.real, beta.imag], axis=2)
-        gram = x.transpose(0, 2, 1) @ x
-        g00, g01, g11 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
-        take = g00 * g11 - g01 * g01 > NEAR_SINGULAR_RTOL * g00 * g11
-        gram, x, y = gram[take], x[take], y[take]
-        if width <= _FACTOR_RANK:
-            *solved, res = _closed_form_blocks(gram, x, y)
-        else:
-            *solved, res = _closed_form_factors(x, y)
-        rhs = np.linalg.norm(y, axis=(1, 2))
-        ok = res <= CONSISTENT_RTOL * rhs
-        take[take] = ok  # now marks the groups the closed form solved
-        closed, fallback = live[take], live[~take]
-        residuals[closed], rhs_norms[closed] = res[ok], rhs[ok]
+    if closed.size:
+        residuals[closed], rhs_norms[closed] = res, rhs
     if width <= _FACTOR_RANK:
         slot, factored = np.arange(groups), None
     else:
-        factored = (idx[closed], *(part[ok] for part in solved)) if closed.size else None
-        if closed.size == groups:
-            return None, factored, residuals, rhs_norms
+        factored = (idx[closed], *solved) if closed.size else None
         # only the groups no closed form solved get a dense block
         held = np.ones(groups, dtype=bool)
         held[closed] = False
         slot = np.cumsum(held) - 1
         idx = idx[held]
     blocks = np.zeros((len(idx), width, width))
-    if g_phased.size:
+    if phased.size:
         k = np.arange(width)
-        blocks[slot[g_phased][:, None], k, k] = _phase_align_susceptance(hr[g_phased], ht[g_phased], z0)
+        blocks[slot[phased][:, None], k, k] = _phase_align_susceptance(hr[phased], ht[phased], z0)
     if width <= _FACTOR_RANK and closed.size:
-        blocks[closed] = solved[0][ok]
+        blocks[closed] = solved[0]
     if fallback.size:
         entries = _group_entries(width)
         _check_fallback_size(width, entries)
@@ -597,18 +618,61 @@ def _solve_groups(idx, h_r, h_t, z0: float):
     return (idx, blocks), factored, residuals, rhs_norms
 
 
-def _closed_form_blocks(gram, x, y):
-    """(B blocks, residual norms) of the closed form, as dense blocks."""
-    xt = x.transpose(0, 2, 1)
-    pinv = np.linalg.solve(gram, xt)
-    yp = y @ pinv
-    bk = yp + yp.transpose(0, 2, 1) - pinv.transpose(0, 2, 1) @ (xt @ y) @ pinv
-    bk = 0.5 * (bk + bk.transpose(0, 2, 1))  # exactly symmetric
-    return bk, np.linalg.norm(bk @ x - y, axis=(1, 2))
+def _narrow(keep, *arrays):
+    """The arrays' rows that keep marks; the arrays themselves, uncopied, when it marks every row."""
+    if keep.all():
+        return arrays
+    return tuple(a[keep] for a in arrays)
 
 
-def _closed_form_factors(x, y):
-    """(Q, S, residual norms) of the closed form, as B = Q S Q^T with Q^T Q = I.
+def _steering_rows(hv, tv, nr, nt, z0: float):
+    """[X, Y]^T of the closed form, (groups, 4, width): the rows -z0 Im s, z0 Re s, Re beta and Im beta.
+
+    hv and tv hold each group's channel as floats, real and imaginary part
+    in turn, and nr and nt their norms.  s = hr_hat + ht_hat and beta =
+    ht_hat - hr_hat, with hr_hat = hr / nr and ht_hat = ht / nt divided as
+    real numbers.
+    """
+    groups, width = len(hv), hv.shape[1] // 2
+    hr_hat = (hv / nr[:, None]).reshape(groups, width, 2)
+    ht_hat = (tv / nt[:, None]).reshape(groups, width, 2)
+    s = hr_hat + ht_hat
+    beta = ht_hat - hr_hat
+    xy = np.empty((groups, 4, width))
+    np.multiply(s[..., 1], -z0, out=xy[:, 0])
+    np.multiply(s[..., 0], z0, out=xy[:, 1])
+    xy[:, 2] = beta[..., 0]
+    xy[:, 3] = beta[..., 1]
+    return xy
+
+
+def _frobenius(m):
+    """The Frobenius norm of each matrix of a contiguous real stack."""
+    flat = m.reshape(len(m), math.prod(m.shape[1:]))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _closed_form_blocks(products, det, xy):
+    """(B blocks, residual norms) of the closed form, as dense blocks, from xy = [X, Y]^T.
+
+    products is [X, Y]^T [X, Y], with the 2 x 2 Gram matrix G = X^T X and C
+    = X^T Y in its first two rows.  The rows of X+ are G^-1 X^T, with G^-1
+    = adj(G) / det, det the determinant the near-singular test formed.
+    With A = X+^T (Y^T - C X+ / 2), B = A + A^T is the closed form with C
+    symmetrized, exactly symmetric in floats by construction.  The
+    residual's rows are X^T B - Y^T, that is (B X - Y)^T as B is
+    symmetric.  Every product is a real batched matmul.
+    """
+    x, y = xy[:, :2], xy[:, 2:]
+    gram, c = products[:, :2, :2], products[:, :2, 2:]
+    pinv = (gram[:, ::-1, ::-1] * _ADJUGATE_SIGNS / det[:, None, None]) @ x
+    a = pinv.swapaxes(1, 2) @ (y - (0.5 * c) @ pinv)
+    bk = a + a.swapaxes(1, 2)
+    return bk, _frobenius(x @ bk - y)
+
+
+def _closed_form_factors(xy):
+    """(Q, S, residual norms) of the closed form, as B = Q S Q^T with Q^T Q = I, from xy = [X, Y]^T.
 
     With P = X+^T, the closed form is P Y^T + Y P^T - P C P^T, C = X^T Y,
     that is W K W^T with W = [Y, P] (w x 4) and K = [[0, I], [I, -C]].
@@ -619,10 +683,10 @@ def _closed_form_factors(x, y):
     S = [[M_1, M_2^T], [M_2, 0]], 4 x 4; M_1 = T^-T C T^-1 is symmetric,
     and is symmetrized as the dense closed form symmetrizes B.
     Householder QR keeps Q orthonormal even when [X, Y] has rank 2 or 3
-    (beta = 0 when hr_hat = ht_hat, and then S = 0).  The residual B X -
-    Y = Q (S (Q^T X)) - Y takes O(w) work.
+    (beta = 0 when hr_hat = ht_hat, and then S = 0).  The residual rows
+    X^T Q S Q^T - Y^T take O(w) work.
     """
-    q, r = np.linalg.qr(np.concatenate([x, y], axis=2))
+    q, r = np.linalg.qr(xy.swapaxes(1, 2))
     m = r[:, :, 2:].copy()  # M = R_y T^-1, by forward substitution
     m[:, :, 0] /= r[:, 0, 0, None]
     m[:, :, 1] -= r[:, 0, 1, None] * m[:, :, 0]
@@ -631,7 +695,7 @@ def _closed_form_factors(x, y):
     s[:, :, :2] = m
     s = s + s.transpose(0, 2, 1)
     s[:, :2, :2] *= 0.5  # exactly symmetric
-    return q, s, np.linalg.norm(q @ (s @ (q.transpose(0, 2, 1) @ x)) - y, axis=(1, 2))
+    return q, s, _frobenius(((xy[:, :2] @ q) @ s) @ q.swapaxes(1, 2) - xy[:, 2:])
 
 
 def _check_fallback_size(width: int, entries) -> None:

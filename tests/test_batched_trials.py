@@ -68,7 +68,7 @@ from bdris.linalg import (
     real_ratio,
     row_norms,
 )
-from bdris.optimize import TrialResult, optimize, optimize_trials
+from bdris.optimize import _DEGENERATE_GROUP_TOL, TrialResult, optimize, optimize_trials
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -150,6 +150,52 @@ def test_batch_matches_single_calls_on_every_group_kind(width, label, monkeypatc
     assert not all(r.consistent for r in batch)  # the real groups leave a residual
     if width > 4:
         assert optimize(pairs[0], spec).b_matrix.factors
+
+
+def near_degenerate_group(rng, width, factor):
+    """(hr, ht) of a group with ||hr_hat + ht_hat|| about factor * _DEGENERATE_GROUP_TOL."""
+    hr = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    u = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    u -= np.vdot(hr, u) / np.vdot(hr, hr) * hr
+    hr_hat = hr / np.linalg.norm(hr)
+    # ht_hat = -(hr_hat - t u) / sqrt(1 + t^2), so hr_hat + ht_hat = t u + O(t^2)
+    return hr, -2.5 * (hr_hat - factor * _DEGENERATE_GROUP_TOL * u / np.linalg.norm(u))
+
+
+@pytest.mark.parametrize("width", (2, 4, 8))
+def test_groups_at_the_degenerate_tolerance_match_single_calls(width):
+    # dead, regular and near-degenerate groups, just below the tolerance
+    # (phased) and just above it (the closed form), in a different mix per
+    # pair and none at all in the first: each pair's figures are those of
+    # its one-pair call, bit for bit, whichever groups its stack narrows out
+    rng = np.random.default_rng(20_000 + width)
+    kinds = ("regular", "dead", "below", "above")
+    groups = 4
+    pairs = []
+    for k in range(8):
+        h_r, h_t = [], []
+        for g in range(groups):
+            kind = "regular" if k == 0 else kinds[(k + g) % len(kinds)]
+            hr = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+            ht = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+            if kind == "dead":
+                hr = np.zeros(width, complex)
+            elif kind != "regular":
+                hr, ht = near_degenerate_group(rng, width, 0.9 if kind == "below" else 1.1)
+                norm = np.linalg.norm(hr / np.linalg.norm(hr) + ht / np.linalg.norm(ht))
+                assert (norm < _DEGENERATE_GROUP_TOL) == (kind == "below")
+            h_r.append(hr)
+            h_t.append(ht)
+        pairs.append(ChannelPair(np.concatenate(h_r), np.concatenate(h_t)))
+    spec = parse_arch(f"gc:{width}", groups * width)
+    assert_same_figures(optimize_trials(pairs, spec), pairs, spec)
+    # the group just below the tolerance is phase-aligned, a diagonal block;
+    # the one just above takes the closed form, which couples its elements
+    # (pair 1's groups are dead, below, above and regular)
+    b = optimize(pairs[1], spec).b_matrix.matrix
+    below, above = (b[g * width:(g + 1) * width, g * width:(g + 1) * width] for g in (1, 2))
+    assert np.array_equal(below, np.diag(np.diag(below))) and np.any(below)
+    assert np.any(above - np.diag(np.diag(above)))
 
 
 def test_batch_of_one_is_optimize():

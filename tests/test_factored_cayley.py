@@ -92,23 +92,36 @@ def test_width_five_is_the_smallest_factored_group():
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_narrow_groups_stay_dense_bit_for_bit(n):
-    # the dense closed form, op for op: what every width <= 4 group takes
+    # the dense closed form, op for op: what every width <= 4 group takes,
+    # in real arithmetic on [X; Y] as rows, with the 2 x 2 Gram matrix
+    # inverted by its adjugate
     pair = gen_rayleigh(n, Rng(12_700 + n))
     res = optimize(pair, parse_arch("fc", n), Z0)
     assert not res.b_matrix.factors and not res.theta.factors
     (index, block), = res.b_matrix.blocks
-    hr = pair.h_r / np.linalg.norm(pair.h_r[None], axis=1)
-    ht = pair.h_t / np.linalg.norm(pair.h_t[None], axis=1)
-    alpha, beta = 1j * Z0 * (hr + ht), ht - hr
-    x = np.stack([alpha.real, alpha.imag], axis=1)[None]
-    y = np.stack([beta.real, beta.imag], axis=1)[None]
-    xt = x.transpose(0, 2, 1)
-    pinv = np.linalg.solve(xt @ x, xt)
-    yp = y @ pinv
-    bk = yp + yp.transpose(0, 2, 1) - pinv.transpose(0, 2, 1) @ (xt @ y) @ pinv
-    bk = 0.5 * (bk + bk.transpose(0, 2, 1))
+    hv, tv = pair.h_r.view(float)[None], pair.h_t.view(float)[None]
+    hr = (hv / np.sqrt(np.vecdot(hv, hv))[:, None]).reshape(1, n, 2)
+    ht = (tv / np.sqrt(np.vecdot(tv, tv))[:, None]).reshape(1, n, 2)
+    s, beta = hr + ht, ht - hr
+    xy = np.stack([-Z0 * s[..., 1], Z0 * s[..., 0], beta[..., 0], beta[..., 1]], axis=1)
+    x, y = xy[:, :2], xy[:, 2:]
+    products = xy @ xy.transpose(0, 2, 1).copy()
+    (g00, g01), (g10, g11) = products[0, :2, :2]
+    det = g00 * g11 - g01 * g01
+    pinv = (np.array([[[g11, -g10], [-g01, g00]]]) / det) @ x
+    a = pinv.transpose(0, 2, 1) @ (y - (0.5 * products[:, :2, 2:]) @ pinv)
+    bk = a + a.transpose(0, 2, 1)
     assert np.array_equal(index, np.arange(n)[None]) and np.array_equal(block, bk)
-    assert res.residual_norm == np.linalg.norm(bk @ x - y, axis=(1, 2))[0]
+    residual = (x @ bk - y).ravel()
+    assert res.residual_norm == np.sqrt(np.vecdot(residual, residual))
+    # the closed form as it was solved before, through np.linalg.solve on
+    # the Gram matrix, gives the same B up to rounding
+    xt = x.transpose(0, 2, 1)
+    pinv_solved = np.linalg.solve(x @ xt, x)
+    yp = y.transpose(0, 2, 1) @ pinv_solved
+    c = x @ y.transpose(0, 2, 1)
+    solved = yp + yp.transpose(0, 2, 1) - pinv_solved.transpose(0, 2, 1) @ c @ pinv_solved
+    assert np.max(np.abs(bk - solved)) <= 1e-12 * np.max(np.abs(bk))
     jb = 1j * Z0 * bk
     (_, theta), = res.theta.blocks
     eye = np.eye(n)

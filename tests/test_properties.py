@@ -31,7 +31,7 @@ from bdris.architecture import (
 from bdris.channel import ChannelPair, Rng, gen_rayleigh, read_channel_json
 from bdris.errors import InputError, NumericalFailure
 from bdris.experiment import oracle_mix
-from bdris.linalg import min_norm_least_squares
+from bdris.linalg import THETA_SYM_TOL, THETA_UNITARY_TOL, check_symmetric_unitary, min_norm_least_squares
 from bdris.optimize import optimize
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -41,6 +41,7 @@ optimize_module = importlib.import_module("bdris.optimize")
 
 KINDS = ("regular", "dead_r", "dead_t", "degenerate", "swapped")
 Z0S = (1.0, 50.0, 377.0)
+EPS = float(np.finfo(float).eps)
 
 
 @st.composite
@@ -212,6 +213,49 @@ def test_tridiagonal_cayley_at_large_scale(n, seed, z0, top, zero_share):
         bands.append(band)
     theta = scattering_from_susceptance(SusceptanceMatrix(bands=tuple(bands)), z0)
     assert theta.symmetry_defect <= 1e-13 and theta.unitarity_defect <= 1e-13
+
+
+@st.composite
+def large_block_susceptances(draw):
+    """(B, spec, z0) of a random gc or fc pattern at n = 1-16, z0 |B_ij| spread up to 1e8, some entries 0.
+
+    Each entry's magnitude is drawn on its own, log-uniform from 1e-3 to
+    10^top, as the tc patterns of test_tridiagonal_cayley_at_large_scale.
+    """
+    n = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        spec = parse_arch("fc", n)
+    else:
+        cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        spec = ArchitectureSpec(KIND_GROUP, n, tuple(sorted(cuts)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z0 = draw(st.sampled_from(Z0S))
+    top = draw(st.floats(-3.0, 8.0))
+    values = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-3.0, top, (n, n)) / z0
+    values[rng.uniform(size=(n, n)) < draw(st.sampled_from((0.0, 0.2, 0.6)))] = 0.0
+    b = np.triu(np.where(pattern_mask(spec), values, 0.0))
+    return b + np.triu(b, 1).T, spec, z0
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_block_susceptances())
+def test_block_cayley_at_large_scale(case):
+    """A gc or fc block pattern with z0 |B_ij| up to 1e8 maps to a Theta that passes the unchanged check.
+
+    The construction check reads each width's stack in real arithmetic; its
+    defects are those a complex recomputation of the stack gives, up to
+    the rounding of length-w inner products.
+    """
+    b, spec, z0 = case
+    theta = scattering_from_susceptance(spec_layout(b, spec), z0)
+    assert theta.symmetry_defect <= THETA_SYM_TOL and theta.unitarity_defect <= THETA_UNITARY_TOL
+    for _, block in theta.blocks:
+        width = block.shape[-1]
+        check = check_symmetric_unitary(block)
+        sym = np.abs(block - block.swapaxes(-1, -2)).max()
+        uni = np.abs(block.conj().swapaxes(-1, -2) @ block - np.eye(width)).max()
+        assert abs(check.symmetry_defect - sym) <= 2 * EPS * sym
+        assert abs(check.unitarity_defect - uni) <= 2 * width * EPS
 
 
 NUMBERS = st.floats() | st.integers(min_value=-10 ** 400, max_value=10 ** 400)

@@ -33,6 +33,7 @@ from bdris.optimize import (
     _solve_tridiagonal,
     _stacked_system,
     _steering,
+    _symmetric_block,
     build_tc_system,
     optimize,
     optimize_tc,
@@ -295,3 +296,43 @@ def test_tridiagonal_determinant_threshold():
             assert np.allclose(out[0], diag, rtol=0, atol=1e-4)
             assert np.allclose(out[1], coupling, rtol=0, atol=1e-4)
             assert out[2] <= CONSISTENT_RTOL * np.linalg.norm(beta)
+
+
+def test_group_gram_determinant_threshold(svd_calls):
+    # a width-2 group whose h_t leans out of h_r's common phase by eps: its
+    # Gram determinant is about k eps^2 times the product of its diagonal,
+    # and eps puts it just above or just below NEAR_SINGULAR_RTOL of it
+    phase = np.exp(0.7j)
+    h_r = phase * np.array([1.0, 0.3])
+
+    def pair_at(eps):
+        return ChannelPair(h_r, phase * np.array([0.5, 1.0 + 1j * eps]))
+
+    def normalized(pair):
+        return pair.h_r / np.linalg.norm(pair.h_r), pair.h_t / np.linalg.norm(pair.h_t)
+
+    def gram_ratio(pair):
+        s = sum(normalized(pair))
+        (g00, g01), (_, g11) = np.array([[s.imag @ s.imag, -s.imag @ s.real],
+                                         [-s.real @ s.imag, s.real @ s.real]]) * Z0 ** 2
+        return (g00 * g11 - g01 * g01) / (g00 * g11)
+
+    k = gram_ratio(pair_at(1e-3)) / 1e-6
+    entries = _group_entries(2)
+    for margin, closed in ((1.001, True), (0.999, False)):
+        pair = pair_at(np.sqrt(margin * NEAR_SINGULAR_RTOL / k))
+        assert (gram_ratio(pair) > NEAR_SINGULAR_RTOL) == closed
+        del svd_calls[:]
+        b = optimize(pair, parse_arch("gc:2", 2), Z0).b_matrix.matrix
+        # the real-stacked system, 4 equations in the 3 entries of B, has
+        # full column rank, so both solves seek the same B
+        sol = min_norm_least_squares(*_stacked_system(*_steering(*normalized(pair), Z0), entries))
+        assert sol.numerical_rank == 3
+        reference = _symmetric_block(sol.x, entries, 2)
+        if closed:
+            # the adjugate closed form
+            assert not svd_calls
+            assert np.max(np.abs(b - reference)) <= 1e-9 * np.max(np.abs(reference))
+        else:
+            assert len(svd_calls) == 1
+            assert np.array_equal(b, reference)

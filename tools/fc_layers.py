@@ -1,4 +1,4 @@
-"""Per-layer times of fc or tc optimize() calls, of a sweep round's stages, or of the acceptance sweeps.
+"""Per-layer times of fc, gc:4 or tc optimize() calls, of a sweep round's stages, or of the acceptance sweeps.
 
 Usage, from the repository root:
 
@@ -8,6 +8,9 @@ Usage, from the repository root:
     python tools/fc_layers.py --arch tc --tree before=PATH/TO/OLD/src --tree after=src \
         --sizes 8,64,256,1024 --append BENCH_trajectory.json
 
+    python tools/fc_layers.py --arch gc4 --tree before=PATH/TO/OLD/src --tree after=src \
+        --sizes 8,64,256,1024 --append BENCH_trajectory.json
+
     python tools/fc_layers.py --arch sweep --tree before=PATH/TO/OLD/src --tree after=src \
         --sizes 8,16,32,64 --append BENCH_trajectory.json
 
@@ -15,14 +18,16 @@ Usage, from the repository root:
         --append BENCH_trajectory.json
 
 Each tree is measured in its own interpreter, with PYTHONPATH set to its
-src directory and BLAS pinned to one thread.  For fc and tc, the calls run
-on Rayleigh pairs drawn by Rng(1), Rng(2), ..., per size, and every layer
-reports its median over the calls, in ms.  For --arch fc (the default):
+src directory and BLAS pinned to one thread.  For fc, gc4 and tc, the
+calls run on Rayleigh pairs drawn by Rng(1), Rng(2), ..., per size, and
+every layer reports its median over the calls, in ms.  For --arch fc (the
+default) and --arch gc4 (gc:4, groups of four):
 
 - total: the whole optimize() call;
 - cayley: scattering_from_susceptance, less its construction check;
 - check: the construction check of the ScatteringMatrix;
-- power: received_power;
+- power: Theta h_t and the received power (ScatteringMatrix.apply and
+  _received_powers, or received_power on a tree without _received_powers);
 - closed_form: the rest of the call (steering system, group solve, B in
   its layout, bounds).
 
@@ -96,6 +101,7 @@ CALLS = {8: 30, 64: 30, 256: 30, 1024: 10, 4096: 5}
 # Span names per architecture: the call, the Cayley map less its check, the
 # check, received_power, and the rest of the call; for the sweep, its stages.
 LAYERS = {"fc": ("total", "cayley", "check", "power", "closed_form"),
+          "gc4": ("total", "cayley", "check", "power", "closed_form"),
           "tc": ("total", "factors", "check", "apply", "steering"),
           "sweep": ("total", "draw", "membership", "optimize.sc", "optimize.gc:4", "csv", "cli",
                     "rest"),
@@ -104,6 +110,8 @@ LAYERS = {"fc": ("total", "cayley", "check", "power", "closed_form"),
 SWEEP_ROUNDS = 30
 SWEEP_TRIALS = 25
 SWEEP_ARCHS = ("sc", "gc:4")
+# The architecture label each per-call mode times.
+ARCH_LABELS = {"fc": "fc", "gc4": "gc:4", "tc": "tc"}
 # Alternating passes over the trees for --arch sweep and acceptance (fc and
 # tc make one): a sweep is short enough for host speed to drift between two
 # trees measured one after the other, so these alternate the trees and
@@ -226,7 +234,7 @@ def measure_acceptance() -> dict:
 
 
 def measure(arch: str, sizes: list[int]) -> dict:
-    """Median per-layer ms of fc or tc optimize() per size, of a sweep round, or of the acceptance sweeps."""
+    """Median per-layer ms of fc, gc:4 or tc optimize() per size, of a sweep round, or of the acceptance sweeps."""
     if arch == "sweep":
         return measure_sweep(sizes)
     if arch == "acceptance":
@@ -238,12 +246,17 @@ def measure(arch: str, sizes: list[int]) -> dict:
 
     spans: dict[str, float] = {}
     optimize.scattering_from_susceptance = timed(spans, "map", optimize.scattering_from_susceptance)
-    optimize.received_power = timed(spans, "power", optimize.received_power)
+    if arch == "tc" or not hasattr(optimize, "_received_powers"):
+        optimize.received_power = timed(spans, "power", optimize.received_power)
+    else:
+        # sc, gc and fc take Theta h_t by apply and p_r by _received_powers
+        optimize._received_powers = timed(spans, "power", optimize._received_powers)
+        architecture.ScatteringMatrix.apply = timed(spans, "power", architecture.ScatteringMatrix.apply)
     post_init = architecture.ScatteringMatrix.__post_init__
     architecture.ScatteringMatrix.__post_init__ = timed(spans, "check", post_init)
     out = {}
     for n in sizes:
-        spec = architecture.parse_arch(arch, n)
+        spec = architecture.parse_arch(ARCH_LABELS[arch], n)
         optimize.optimize(gen_rayleigh(n, Rng(0)), spec)  # warm-up
         rows = []
         dense = 0

@@ -284,7 +284,7 @@ def _check_symmetric(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise InputError("susceptance entries must be finite")
     # a stack of width-1 blocks (all of sc) is its own transpose
-    if values.shape[-1] > 1 and not np.array_equal(values, values.swapaxes(-1, -2)):
+    if values.shape[-1] > 1 and not (values == values.swapaxes(-1, -2)).all():
         raise InputError("susceptance matrix must be exactly symmetric")
 
 
@@ -418,9 +418,17 @@ def _factored_check(q: np.ndarray, core: np.ndarray) -> MatrixCheck:
     within a/2 of the exact one and each column within a/2 in 2-norm,
     with a = (2r + 2) eps (1 + 2 (1 + e) m).  That moves the symmetry
     defect by at most a.  Columns of Theta have 2-norm at most 1 + u_x,
-    so the unitarity defect moves by at most 2 (1 + u_x) a, and the
-    check's own length-w complex inner products add at most (w + 2) eps
-    (1 + u_x + a)^2.  The bounds are these sums, maximized over the stack.
+    so the unitarity defect moves by at most 2 (1 + u_x) a.  The check's
+    own rounding is that of real arithmetic on Theta = R + jI, with c = (1
+    + u_x + a)^2 bounding the product of two column norms: the real part
+    of each entry of Theta^H Theta - I is one length-2w real inner product
+    (R^T R + I^T I), off by at most gamma_2w c, and its imaginary part the
+    difference of two length-w ones (R^T I - (R^T I)^T), off by at most 2
+    gamma_w c, so the modulus moves by at most their root sum of squares,
+    2 sqrt(2) w eps c to first order.  With a few eps of c for the
+    subtraction of I, the squares and the square root, the check adds at
+    most (3w + 4) eps c.  The bounds are these sums, maximized over the
+    stack.
     """
     width, r = q.shape[-2:]
     check = check_symmetric_unitary(core)
@@ -432,7 +440,7 @@ def _factored_check(q: np.ndarray, core: np.ndarray) -> MatrixCheck:
     uni = (1.0 + e) * (r * check.unitarity_defect + m * m * e)
     a = (2 * r + 2) * _EPS * (1.0 + 2.0 * (1.0 + e) * m)
     sym += a
-    uni += 2.0 * (1.0 + uni) * a + (width + 2) * _EPS * (1.0 + uni + a) ** 2
+    uni += 2.0 * (1.0 + uni) * a + (3 * width + 4) * _EPS * (1.0 + uni + a) ** 2
     return MatrixCheck(sym, uni, sym <= THETA_SYM_TOL and uni <= THETA_UNITARY_TOL)
 
 
@@ -584,8 +592,12 @@ def received_power(pair, theta) -> float:
 
 
 def upper_bound_full(pair) -> float:
-    """Received-power bound ||h_r||^2 ||h_t||^2, valid for every architecture: full_bounds of one pair."""
-    return _full_bound(np.linalg.norm(pair.h_r), np.linalg.norm(pair.h_t))
+    """Received-power bound ||h_r||^2 ||h_t||^2, valid for every architecture: full_bounds of one pair.
+
+    The norms are those the pair's check computed (ChannelPair.norm_r and
+    norm_t), rounded as np.linalg.norm rounds them.
+    """
+    return _full_bound(pair.norm_r, pair.norm_t)
 
 
 def full_bounds(norms_r, norms_t) -> list[float]:

@@ -146,11 +146,13 @@ class ChannelPair:
     """Receiver-side and transmitter-side channel vectors of equal length.
 
     The full bound ||h_r||^2 ||h_t||^2 must be a finite positive float:
-    check_rows at one row.
+    check_rows at one row, whose norms the pair keeps as norm_r and norm_t.
     """
 
     h_r: np.ndarray
     h_t: np.ndarray
+    norm_r: np.float64 = field(init=False, repr=False, compare=False)
+    norm_t: np.float64 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h_r = np.asarray(self.h_r, dtype=complex)
@@ -161,9 +163,11 @@ class ChannelPair:
             raise InputError(f"channel vectors must share one length, got {h_r.shape} and {h_t.shape}")
         if h_r.size == 0:
             raise InputError("channel vectors must be nonempty")
-        error = check_rows(h_r, h_t).error
-        if error is not None:
-            raise error
+        check = check_rows(h_r, h_t)
+        if check.error is not None:
+            raise check.error
+        object.__setattr__(self, "norm_r", check.norms_r)
+        object.__setattr__(self, "norm_t", check.norms_t)
 
     @property
     def n(self) -> int:

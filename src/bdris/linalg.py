@@ -146,10 +146,9 @@ def check_symmetric_unitary(m) -> MatrixCheck:
         asym = halves - halves.swapaxes(-1, -2)
         asym *= asym
         sym = math.sqrt((asym[..., 0, :, :] + asym[..., 1, :, :]).max())
-        # numpy takes ri^T ri as a symmetric rank-k update, which saves work
-        # on one large matrix but is slower than a general product on a
-        # stack of small blocks; a copy of ri makes it the general one
-        gram = ri.swapaxes(-1, -2) @ (ri.copy() if m.ndim == 3 else ri)
+        # the copy keeps numpy from taking ri^T ri as a symmetric rank-k
+        # update, which is slower than a general product on small blocks
+        gram = ri.swapaxes(-1, -2) @ ri.copy()
         gram.reshape(gram.shape[:-2] + (-1,))[..., ::width + 1] -= 1.0  # the diagonal
         cross = halves[..., 0, :, :].swapaxes(-1, -2) @ halves[..., 1, :, :]
         skew = cross - cross.swapaxes(-1, -2)
@@ -277,13 +276,20 @@ def _weighted_bound(f: TridiagonalLDL, rho: np.ndarray, lsq: np.ndarray, h: floa
 
 
 def row_norms(h) -> np.ndarray:
-    """The 2-norm of each row (the last axis) of a complex array, as np.linalg.norm rounds one vector.
+    """The 2-norm of each row (the last axis) of a real or complex array, as np.linalg.norm rounds one vector.
 
-    np.linalg.norm of a complex vector is the square root of the BLAS dot
-    products of its real and imaginary parts with themselves; vecdot makes
-    the same ddot call on each row.  A 1-D vector gives a 0-d result.
+    np.linalg.norm of a real vector is the square root of its BLAS dot
+    product with itself, and of a complex vector the square root of the
+    sum of those of its real and imaginary parts; vecdot makes the same
+    ddot calls on each row.  np.linalg.norm ravels a real vector to
+    contiguous memory first, and ddot rounds a strided vector another way,
+    so real rows are made contiguous too.  A 1-D vector gives a 0-d result.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
+    if not np.iscomplexobj(h):
+        h = np.ascontiguousarray(h, dtype=float)
+        return np.sqrt(np.vecdot(h, h))
+    h = h.astype(complex, copy=False)
     return np.sqrt(np.vecdot(h.real, h.real) + np.vecdot(h.imag, h.imag))
 
 

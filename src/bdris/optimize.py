@@ -59,7 +59,7 @@ from .architecture import (
 )
 from .channel import ChannelPair, ChannelStack, Rng, normalize
 from .errors import InputError, NumericalFailure
-from .linalg import min_norm_least_squares
+from .linalg import min_norm_least_squares, row_norms
 
 # A steering system counts as consistent when the least-squares residual is
 # below this, relative to ||b||.
@@ -553,14 +553,14 @@ def _solve_groups(idx, h_r, h_t, z0: float):
     """
     hr, ht = h_r[idx], h_t[idx]
     groups, width = idx.shape
+    nr, nt = row_norms(hr), row_norms(ht)
     # each group's real and imaginary parts in turn, one row of floats
-    hv, tv = hr.view(float), ht.view(float)
-    nr, nt = np.sqrt(np.vecdot(hv, hv)), np.sqrt(np.vecdot(tv, tv))
-    live, hv, tv, nr, nt = _narrow((nr > 0.0) & (nt > 0.0), np.arange(groups), hv, tv, nr, nt)
+    live, hv, tv, live_nr, live_nt = _narrow((nr > 0.0) & (nt > 0.0), np.arange(groups),
+                                             hr.view(float), ht.view(float), nr, nt)
     phased = live if width == 1 else live[:0]
     closed = fallback = live[:0]
     if width > 1 and live.size:
-        xy = _steering_rows(hv, tv, nr, nt, z0)
+        xy = _steering_rows(hv, tv, live_nr, live_nt, z0)
         # [X, Y]^T [X, Y] holds the Gram matrix X^T X, C = X^T Y and, in its
         # last two diagonal entries, ||Y||_F^2; the copy keeps numpy from
         # taking the product of xy with its own transpose as a symmetric
@@ -583,10 +583,6 @@ def _solve_groups(idx, h_r, h_t, z0: float):
         closed, res, rhs, *solved = _narrow(ok, regular, res, rhs, *solved)
         if closed.size < regular.size:
             fallback = np.union1d(fallback, regular[~ok])
-        if closed.size == groups:
-            if width <= _FACTOR_RANK:
-                return (idx, solved[0]), None, res, rhs
-            return None, (idx, *solved), res, rhs
     residuals = np.zeros(groups)
     rhs_norms = np.zeros(groups)
     if closed.size:
@@ -595,6 +591,8 @@ def _solve_groups(idx, h_r, h_t, z0: float):
         slot, factored = np.arange(groups), None
     else:
         factored = (idx[closed], *solved) if closed.size else None
+        if closed.size == groups:
+            return None, factored, residuals, rhs_norms
         # only the groups no closed form solved get a dense block
         held = np.ones(groups, dtype=bool)
         held[closed] = False
@@ -610,10 +608,9 @@ def _solve_groups(idx, h_r, h_t, z0: float):
         entries = _group_entries(width)
         _check_fallback_size(width, entries)
     for g in fallback:
-        # the 1-D norm, not the batched one above (which may differ in the
-        # last bit), keeps this leg equal to the SVD solve of the group alone
-        system = _stacked_system(*_steering(hr[g] / np.linalg.norm(hr[g]),
-                                            ht[g] / np.linalg.norm(ht[g]), z0), entries)
+        # row_norms rounds as np.linalg.norm does, so this leg is the SVD
+        # solve of the group alone
+        system = _stacked_system(*_steering(hr[g] / nr[g], ht[g] / nt[g], z0), entries)
         blocks[slot[g]], residuals[g], rhs_norms[g] = _least_squares_block(*system, entries, width)
     return (idx, blocks), factored, residuals, rhs_norms
 
@@ -646,12 +643,6 @@ def _steering_rows(hv, tv, nr, nt, z0: float):
     return xy
 
 
-def _frobenius(m):
-    """The Frobenius norm of each matrix of a contiguous real stack."""
-    flat = m.reshape(len(m), math.prod(m.shape[1:]))
-    return np.sqrt(np.vecdot(flat, flat))
-
-
 def _closed_form_blocks(products, det, xy):
     """(B blocks, residual norms) of the closed form, as dense blocks, from xy = [X, Y]^T.
 
@@ -668,7 +659,7 @@ def _closed_form_blocks(products, det, xy):
     pinv = (gram[:, ::-1, ::-1] * _ADJUGATE_SIGNS / det[:, None, None]) @ x
     a = pinv.swapaxes(1, 2) @ (y - (0.5 * c) @ pinv)
     bk = a + a.swapaxes(1, 2)
-    return bk, _frobenius(x @ bk - y)
+    return bk, row_norms((x @ bk - y).reshape(len(bk), 2 * bk.shape[-1]))
 
 
 def _closed_form_factors(xy):
@@ -695,7 +686,8 @@ def _closed_form_factors(xy):
     s[:, :, :2] = m
     s = s + s.transpose(0, 2, 1)
     s[:, :2, :2] *= 0.5  # exactly symmetric
-    return q, s, _frobenius(((xy[:, :2] @ q) @ s) @ q.swapaxes(1, 2) - xy[:, 2:])
+    residual = ((xy[:, :2] @ q) @ s) @ q.swapaxes(1, 2) - xy[:, 2:]
+    return q, s, row_norms(residual.reshape(len(q), 2 * q.shape[1]))
 
 
 def _check_fallback_size(width: int, entries) -> None:

@@ -722,6 +722,8 @@ def test_row_norms_round_as_np_linalg_norm():
         h = (rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))) * scale
         assert [float(v) for v in row_norms(h)] == [float(np.linalg.norm(row)) for row in h]
         assert float(row_norms(h[0])) == float(np.linalg.norm(h[0]))
+        # a real array keeps its one ddot per row, as for a real vector
+        assert [float(v) for v in row_norms(h.real)] == [float(np.linalg.norm(row)) for row in h.real]
         # the stack's bounds, from the norms its check computed, are
         # upper_bound_full's (scales kept within the bound's range)
         h_r, h_t = h / scale * 10.0 ** rng.uniform(-60, 60, (40, 1)), h[::-1] / scale[::-1]

@@ -25,6 +25,16 @@ from .linalg import (
 )
 
 DEFAULT_Z0 = 50.0
+# The reference impedances a solve accepts, [Z0_MIN, Z0_MAX].  The closed
+# form of a gc or fc group forms the determinant of its Gram matrix X^T X,
+# X = [Re alpha, Im alpha] with alpha = j z0 (hr_hat + ht_hat), so each
+# Gram entry is at most 4 z0^2 and the determinant at most 16 z0^4; it must
+# stay finite, and 16 z0^4 is 1.6e301 at Z0_MAX, below the largest float
+# (1.8e308).  Below 1 the determinant shrinks as z0^4 toward the smallest
+# normal float (2.2e-308); the range is symmetric about 1, so z0^4 is still
+# 1e-300 at Z0_MIN.
+Z0_MIN = 1e-75
+Z0_MAX = 1e75
 _EPS = np.finfo(float).eps
 
 KIND_SINGLE = "single_connected"
@@ -184,26 +194,27 @@ class SusceptanceMatrix:
 
     - blocks, a tuple of (index, values) entries, one per block width w:
       index has shape (g, w), the elements of each of g blocks, and values
-      shape (g, w, w), their blocks of B.  optimize_sc hands over one
-      width-1 stack and optimize_gc its groups of width 4 or less, and
-      those of its wider groups that take no closed form (dead, degenerate
-      and SVD-fallback groups), while a dense matrix given alone (anything
-      but a tuple) is one block of width n, kept 2-D with index of shape
-      (n,).  Every entry outside the blocks is zero, so each block being
-      finite and exactly symmetric is the check of the dense B.
+      shape (g, w, w), their blocks of B.  The optimizer hands over sc's
+      diagonal as one width-1 stack, and gc's and fc's groups of width 4
+      or less and those of their wider groups that take no closed form
+      (dead, degenerate and SVD-fallback groups), while a dense matrix
+      given alone (anything but a tuple) is one block of width n, kept
+      2-D with index of shape (n,).  Every entry outside the blocks is
+      zero, so each block being finite and exactly symmetric is the check
+      of the dense B.
     - factors, a tuple of (index, q, s) entries beside the blocks: each of
       the g groups of width w in index (g, w) holds its block of B as
       Q S Q^T, with q of shape (g, w, r) with orthonormal columns and s of
-      shape (g, r, r), r <= w.  optimize_gc hands over its closed-form
+      shape (g, r, r), r <= w.  The optimizer hands over the closed-form
       groups wider than 4 this way, fc's one group among them, as the
       closed form has rank at most 4.  Each s being finite and exactly
       symmetric, and each q finite, is the check of the dense B; the
       Cayley map relies on Q^T Q = I, and the scattering check measures
       how far the q handed over is from it.
     - bands, the (diagonal, couplings) of a tridiagonal B, of shapes (n,)
-      and (n - 1,), as optimize_tc hands them over.  Coupling k is B_{k,k+1}
-      = B_{k+1,k}, so the layout is symmetric by construction and both
-      bands being finite is the check of the dense B.
+      and (n - 1,), as the optimizer hands tc's over.  Coupling k is
+      B_{k,k+1} = B_{k+1,k}, so the layout is symmetric by construction
+      and both bands being finite is the check of the dense B.
 
     .matrix builds the dense B only on request, a factored block as the
     mean of Q S Q^T and its transpose, so that it is exactly symmetric.
@@ -642,5 +653,5 @@ def _group_bounds(h_r, h_t, cuts, n: int) -> list[float]:
 
 
 def _check_z0(z0) -> None:
-    if not np.isfinite(z0) or z0 <= 0:
-        raise InputError(f"reference impedance must be positive and finite, got {z0!r}")
+    if not Z0_MIN <= z0 <= Z0_MAX:  # False for nan too
+        raise InputError(f"reference impedance must lie in [{Z0_MIN:g}, {Z0_MAX:g}], got {z0!r}")

@@ -15,12 +15,15 @@ pattern's system is solved by a structured method:
   one group among them) is handed over as its factors, never as a dense
   block.
 
-optimize_trials solves many pairs of one size at once, a ChannelStack.
-For sc, gc and fc it treats the stack's rows as one channel and repeats the
-cut partition once per pair (_solve_blocks): every group is normalized and
+optimize_trials solves many pairs of one size at once, a ChannelStack, and
+optimize() is the same core (_solve) at one pair, with its B and Theta.
+For sc, gc and fc the core treats the stack's rows as one channel and
+repeats the cut partition once per pair: every group is normalized and
 solved on its own, so the groups of different pairs are groups like any
 other, and each width is solved, mapped and checked once for the whole
-stack.  optimize() is the same core at one pair; tc runs pair by pair.
+stack.  tc's recursion runs on one pair's whole surface, so tc is solved
+pair by pair.  Every architecture's Theta, received power and figures
+come from the core's one tail.
 
 Stacking real and imaginary parts turns any of these systems into an
 ordinary real least-squares problem, solved by SVD as the fallback.  The
@@ -41,6 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+# received_power is not called here, but stays importable by this name: the
+# benchmark tracer (perfbench/tracer.py) wraps bdris.optimize.received_power
 from .architecture import (
     DEFAULT_Z0,
     KIND_SINGLE,
@@ -143,84 +148,28 @@ def build_tc_system(pair: ChannelPair, z0: float = DEFAULT_Z0) -> LinearSystem:
     reads B_kk alpha_k + B_{k-1,k} alpha_{k-1} + B_{k,k+1} alpha_{k+1};
     the real stacking puts real parts on top of imaginary parts.
     """
-    alpha, beta = _tc_steering(pair, z0)
+    alpha, beta = _tc_steering(pair.h_r, pair.h_t, z0)
     a, b = _stacked_system(alpha, beta, _tc_entries(pair.n))
     return LinearSystem(a=a, b=b, alpha=alpha, n=pair.n)
 
 
-def optimize_tc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
-    """Tridiagonal optimizer: O(n) recursion on the steering system.
-
-    Falls back to minimum-norm least squares on the real-stacked system
-    when a 2x2 block is near-singular or the recursion's residual fails
-    CONSISTENT_RTOL (the adversarial set).  Either way B is handed over as
-    its bands, the diagonal and the couplings, with no dense n x n B, and
-    its Theta is the Cayley map's O(n) operator on the L D L^T factors of I
-    + j z0 B (or, when their bound fails, the O(n^2) dense sweep).  Needs
-    n >= 2; optimize() serves n = 1 by sc's closed form.
-    """
-    n = pair.n
-    solved = _solve_tridiagonal(*_tc_steering(pair, z0))
-    if solved is None:
-        system = build_tc_system(pair, z0)
-        sol = min_norm_least_squares(system.a, system.b)
-        diag, coupling, residual = sol.x[:n], sol.x[n:], sol.residual_norm
-        consistent = residual <= CONSISTENT_RTOL * float(np.linalg.norm(system.b))
-    else:
-        diag, coupling, residual = solved
-        consistent = True
-    b = SusceptanceMatrix(bands=(diag, coupling))
-    return _finish(pair, b, z0, upper_bound_full(pair), residual, consistent)
-
-
-def optimize_gc(pair: ChannelPair, cuts, z0: float = DEFAULT_Z0) -> OptimizeResult:
-    """Group-connected optimizer: one steering system per group.
-
-    Each group is normalized independently, which pins every group's
-    contribution to phase zero so they add coherently; under that
-    normalization the per-group consistency scalar Im(alpha^H beta)
-    vanishes identically and the group systems are generically solvable.
-    Groups of equal width are solved together by _solve_groups, which
-    picks each group's solver once, and B holds each width's stack of group
-    blocks as it comes, with no dense n x n B.  A closed-form group wider
-    than 4 (all of fc's one group, at n >= 5) is held as its rank-4
-    factors Q S Q^T, whose Theta comes from a 4 x 4 Cayley map.
-    """
-    return _result(_solve_blocks(*_one_pair(pair), cuts, z0))
-
-
-def optimize_sc(pair: ChannelPair, z0: float = DEFAULT_Z0) -> OptimizeResult:
-    """Closed-form diagonal optimizer: per-element phase alignment.
-
-    Element i gets scattering phase arg(h_r,i) - arg(h_t,i), so every term
-    of the received sum lands on the positive real axis and the diagonal
-    bound (sum_i |h_r,i| |h_t,i|)^2 is met up to the phase clamp.  B holds
-    the diagonal as one stack of width-1 blocks.
-    """
-    return _result(_solve_blocks(*_one_pair(pair), None, z0))
-
-
 def optimize(pair: ChannelPair, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> OptimizeResult:
-    """Run the optimizer matching the architecture kind: optimize_trials at one pair, with B and Theta.
-
-    A one-element tridiagonal surface is the single-connected one, so tc at
-    n = 1 takes sc's closed form, whose bound equals the full one there.
-    """
+    """The architecture-constrained optimum for one pair: optimize_trials at one pair, with its B and Theta."""
     _check_sizes([pair], spec)
-    if spec.kind == KIND_TREE and spec.n > 1:
-        return optimize_tc(pair, z0)
-    return _result(_block_cell(*_one_pair(pair), spec, z0))
+    b, theta, (row,) = _solve(pair.h_r, pair.h_t, [upper_bound_full(pair)], spec, z0)
+    return OptimizeResult(*row, b_matrix=b, theta=theta)
 
 
 def optimize_trials(pairs, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> list[TrialResult]:
     """The TrialResult of every pair of a ChannelStack or a sequence of pairs, all of size spec.n, in order.
 
-    sc, gc and fc solve the pairs stacked, up to _STACK_ELEMENTS elements
-    at a time (_solve_blocks); each pair's figures are bit for bit those
-    optimize() gives it alone.  The stacked Theta passes its construction
-    check only if every pair's own Theta would, so a NumericalFailure here
-    means some pair fails: a caller that needs to know which runs the pairs
-    one at a time.  tc runs optimize_tc pair by pair.
+    The pairs are solved stacked (_solve), up to _STACK_ELEMENTS elements at
+    a time, or one at a time where the tridiagonal recursion solves the
+    whole surface; each pair's figures are bit for bit those optimize()
+    gives it alone.  The stacked Theta passes its construction check only
+    if every pair's own Theta would, so a NumericalFailure here means some
+    pair fails: a caller that needs to know which runs the pairs one at a
+    time.
     """
     if isinstance(pairs, ChannelStack):
         stack = pairs
@@ -228,20 +177,13 @@ def optimize_trials(pairs, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> li
     else:
         _check_sizes(pairs, spec)
         stack = ChannelStack.of(pairs, spec.n)
-    if spec.kind == KIND_TREE and spec.n > 1:
-        return [TrialResult._make(_figures(optimize_tc(stack[t], z0))) for t in range(len(stack))]
     full = full_bounds(stack.norms_r, stack.norms_t)
-    step = max(1, _STACK_ELEMENTS // spec.n)
+    step = 1 if _recursive(spec) else max(1, _STACK_ELEMENTS // spec.n)
     rows = []
     for lo in range(0, len(stack), step):
-        rows += _block_cell(stack.h_r[lo:lo + step].reshape(-1), stack.h_t[lo:lo + step].reshape(-1),
-                            full[lo:lo + step], spec, z0)[2]
+        rows += _solve(stack.h_r[lo:lo + step].reshape(-1), stack.h_t[lo:lo + step].reshape(-1),
+                       full[lo:lo + step], spec, z0)[2]
     return list(map(TrialResult._make, rows))
-
-
-def _one_pair(pair: ChannelPair):
-    """(h_r, h_t, full) of _solve_blocks for one pair: its vectors and its bound."""
-    return pair.h_r, pair.h_t, [upper_bound_full(pair)]
 
 
 def _check_sizes(pairs, spec: ArchitectureSpec) -> None:
@@ -251,24 +193,27 @@ def _check_sizes(pairs, spec: ArchitectureSpec) -> None:
             raise InputError(f"architecture is for n = {spec.n}, channels have n = {pair.n}")
 
 
-def _block_cell(h_r, h_t, full, spec: ArchitectureSpec, z0: float):
-    """_solve_blocks for the architecture: sc, tc at n = 1 (sc with the full bound), gc or fc."""
-    if spec.kind == KIND_SINGLE:
-        return _solve_blocks(h_r, h_t, full, None, z0)
-    if spec.kind == KIND_TREE:
-        b, theta, rows = _solve_blocks(h_r, h_t, full, None, z0)
-        return b, theta, [(p_r, bound, bound, *rest) for p_r, bound, _, *rest in rows]
-    return _solve_blocks(h_r, h_t, full, spec.effective_cuts, z0)
+def _recursive(spec: ArchitectureSpec) -> bool:
+    """Whether the tridiagonal recursion solves spec: tc at n >= 2.
+
+    A one-element tridiagonal surface is the single-connected one, so tc at
+    n = 1 takes sc's closed form, whose bound equals the full one there.
+    """
+    return spec.kind == KIND_TREE and spec.n > 1
 
 
-def _solve_blocks(h_r, h_t, full, cuts, z0: float):
-    """(B, Theta, rows) of sc (cuts None) or of the cut partition, for len(full) pairs end to end.
+def _solve(h_r, h_t, full, spec: ArchitectureSpec, z0: float):
+    """(B, Theta, rows) of the architecture for len(full) pairs end to end.
 
     h_r and h_t hold the pairs one after another, one channel of len(full)
-    n elements, and full their p_bar_full, upper_bound_full of each.  sc
-    phase-aligns it entry by entry; otherwise the cut partition is
-    repeated once per pair and each width's groups, of every pair, go
-    through one _solve_groups call.  B and Theta hold the whole stack, so
+    n elements, and full their p_bar_full, upper_bound_full of each.  tc
+    (one pair, _recursive) hands over B as its bands (_solve_tc); sc, and
+    tc at n = 1, phase-align the channel entry by entry; gc and fc repeat the
+    cut partition once per pair and each width's groups, of every pair, go
+    through one _solve_groups call.  Each group is normalized on its own,
+    which pins its contribution to phase zero so that the groups add
+    coherently, and makes its consistency scalar Im(alpha^H beta) vanish
+    identically.  B and Theta hold the whole stack, so
     the Cayley map and its construction check run once per width.  Every
     step works group by group, so a pair's blocks, residuals and slice of
     Theta h_t are those it gets alone.  rows holds one (p_r, p_bar_full,
@@ -280,7 +225,10 @@ def _solve_blocks(h_r, h_t, full, cuts, z0: float):
     _check_z0(z0)
     count = len(full)
     n = h_r.size // count
-    if cuts is None:
+    if _recursive(spec):
+        b, residual, consistent = _solve_tc(h_r, h_t, z0)
+        residuals, consistent = [residual], [consistent]
+    elif spec.kind in (KIND_SINGLE, KIND_TREE):
         d = _phase_align_susceptance(h_r, h_t, z0)
         b = SusceptanceMatrix(((np.arange(h_r.size)[:, None], d[:, None, None]),))
         # a row sum rounds like the sum of the pair's own vector
@@ -288,6 +236,7 @@ def _solve_blocks(h_r, h_t, full, cuts, z0: float):
         residuals = [0.0] * count
         consistent = [True] * count
     else:
+        cuts = spec.effective_cuts
         blocks = []
         factors = []
         residuals = scales = np.zeros(count)
@@ -307,10 +256,36 @@ def _solve_blocks(h_r, h_t, full, cuts, z0: float):
         # a pair with no scale (every group dead or phased) is consistent
         consistent = [residual <= CONSISTENT_RTOL * scale if scale > 0.0 else True
                       for residual, scale in zip(residuals, scales.tolist())]
+    if spec.kind == KIND_TREE:
+        bounds = full  # tc's bound, which sc's equals at n = 1 up to rounding
     theta = scattering_from_susceptance(b, z0)
     p_r = _received_powers(h_r, theta.apply(h_t), count)
     ratios = [p / p_bar_full for p, p_bar_full in zip(p_r, full)]
     return b, theta, list(zip(p_r, full, bounds, ratios, residuals, consistent))
+
+
+def _solve_tc(h_r, h_t, z0: float):
+    """(B as its bands, residual norm, consistent) of one pair's tridiagonal steering system.
+
+    The O(n) recursion solves it, and minimum-norm least squares on
+    build_tc_system's real-stacked system does when a 2x2 block is
+    near-singular or the recursion's residual fails CONSISTENT_RTOL (the
+    adversarial set).  Either way B is handed over as its bands, the
+    diagonal and the couplings, with no dense n x n B, and its Theta is the
+    Cayley map's O(n) operator on the L D L^T factors of I + j z0 B (or,
+    when their bound fails, the O(n^2) dense sweep).  Needs n >= 2.
+    """
+    n = h_r.size
+    solved = _solve_tridiagonal(*_tc_steering(h_r, h_t, z0))
+    if solved is None:
+        system = build_tc_system(ChannelPair(h_r, h_t), z0)
+        sol = min_norm_least_squares(system.a, system.b)
+        diag, coupling, residual = sol.x[:n], sol.x[n:], sol.residual_norm
+        consistent = residual <= CONSISTENT_RTOL * float(np.linalg.norm(system.b))
+    else:
+        diag, coupling, residual = solved
+        consistent = True
+    return SusceptanceMatrix(bands=(diag, coupling)), residual, consistent
 
 
 def _received_powers(h_r, y, count: int) -> list[float]:
@@ -322,18 +297,6 @@ def _received_powers(h_r, y, count: int) -> list[float]:
     """
     dots = np.vecdot(h_r.reshape(count, -1), y.reshape(count, -1))
     return [float(abs(d) ** 2) for d in dots]
-
-
-def _result(cell) -> OptimizeResult:
-    """The OptimizeResult of a one-pair _solve_blocks."""
-    b, theta, (row,) = cell
-    return OptimizeResult(*row, b_matrix=b, theta=theta)
-
-
-def _figures(result: OptimizeResult) -> tuple:
-    """(p_r, p_bar_full, p_bar_arch, ratio_full, residual_norm, consistent) of a result."""
-    return (result.p_r, result.p_bar_full, result.p_bar_arch, result.ratio_full,
-            result.residual_norm, result.consistent)
 
 
 @dataclass(frozen=True)
@@ -361,8 +324,7 @@ def brute_force_power_search(pair: ChannelPair, spec: ArchitectureSpec,
     since every candidate's scattering matrix is unitary, the result can
     never exceed the full upper bound.
     """
-    if spec.n != pair.n:
-        raise InputError(f"architecture is for n = {spec.n}, channels have n = {pair.n}")
+    _check_sizes([pair], spec)
     if not isinstance(budget, int) or budget < 1:
         raise InputError(f"evaluation budget must be a positive integer, got {budget!r}")
     if rng is None:
@@ -478,12 +440,12 @@ def _steering(hr_hat, ht_hat, z0: float):
     return 1j * z0 * (hr_hat + ht_hat), ht_hat - hr_hat
 
 
-def _tc_steering(pair: ChannelPair, z0: float):
+def _tc_steering(h_r, h_t, z0: float):
     """alpha and beta of the whole-surface steering system, for n >= 2."""
-    if pair.n < 2:
+    if h_r.size < 2:
         raise InputError("the tridiagonal steering system needs n >= 2")
     _check_z0(z0)
-    return _steering(normalize(pair.h_r), normalize(pair.h_t), z0)
+    return _steering(normalize(h_r), normalize(h_t), z0)
 
 
 def _solve_tridiagonal(alpha, beta):
@@ -764,20 +726,4 @@ def _phase_align_susceptance(h_r, h_t, z0: float) -> np.ndarray:
     limit = np.pi - _PHASE_MARGIN
     phase = np.minimum(np.maximum(phase, -limit), limit)  # np.clip's values, without its wrapper
     return -np.tan(0.5 * phase) / z0
-
-
-def _finish(pair, b_matrix, z0, p_bar_arch, residual_norm, consistent) -> OptimizeResult:
-    theta = scattering_from_susceptance(b_matrix, z0)
-    p_r = received_power(pair, theta)
-    p_bar_full = upper_bound_full(pair)
-    return OptimizeResult(
-        b_matrix=b_matrix,
-        theta=theta,
-        p_r=p_r,
-        p_bar_full=p_bar_full,
-        p_bar_arch=p_bar_arch,
-        ratio_full=p_r / p_bar_full,
-        residual_norm=residual_norm,
-        consistent=consistent,
-    )
 

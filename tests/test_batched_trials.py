@@ -318,23 +318,22 @@ def test_failure_in_the_middle_of_a_batch_names_its_trial(monkeypatch):
 
 
 def _failing_on(target):
-    """optimize_tc, raising NumericalFailure on a pair of the target's values."""
-    real = optimize_module.optimize_tc
+    """_solve_tc, raising NumericalFailure on a pair of the target's values."""
+    real = optimize_module._solve_tc
 
-    def optimize_tc(pair, z0):
-        if np.array_equal(bits(pair.h_r), bits(target.h_r)) and np.array_equal(bits(pair.h_t),
-                                                                              bits(target.h_t)):
+    def solve_tc(h_r, h_t, z0):
+        if np.array_equal(bits(h_r), bits(target.h_r)) and np.array_equal(bits(h_t), bits(target.h_t)):
             raise NumericalFailure("tc failed")
-        return real(pair, z0)
+        return real(h_r, h_t, z0)
 
-    return optimize_tc
+    return solve_tc
 
 
 @pytest.mark.parametrize("draw_error,named", [(3, None), (6, 4)])
 def test_a_failing_draw_raises_after_the_trials_before_it(monkeypatch, draw_error, named):
     failing = SCENARIO_TABLE["tc_adversarial"].draw(16, Rng(FAILING_SEED))[0]
     plant(monkeypatch, {4}, failing, draw_error)
-    monkeypatch.setattr(optimize_module, "optimize_tc", _failing_on(failing))
+    monkeypatch.setattr(optimize_module, "_solve_tc", _failing_on(failing))
     config = ExperimentConfig(scenario="tc_adversarial", sizes=(16,), trials=10,
                               archs=("sc", "tc"), seed=3)
     with pytest.raises(NumericalFailure) as info:

@@ -4,6 +4,7 @@ import csv
 import importlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,46 @@ def test_optimize_out_of_range_channel_scale(tmp_path, capsys, scale, arch):
     assert code == 2
     assert out == ""
     assert "scale out of range" in err
+
+
+Z0_ARCHS = ("sc", "gc:2", "gc:4", "tc", "fc")
+
+
+@pytest.mark.parametrize("z0", ["1e-80", "1e80", "1e200"])
+@pytest.mark.parametrize("arch", Z0_ARCHS)
+def test_out_of_range_z0_is_input_error(tmp_path, capsys, z0, arch):
+    """A reference impedance outside [1e-75, 1e75] exits 2 from optimize and simulate, not a crash."""
+    channel_file = tmp_path / "pair.json"
+    with open(channel_file, "w") as fp:
+        write_channel_json(gen_rayleigh(8, Rng(5)), fp)
+    code, out, err = run(capsys, "optimize", "--arch", arch, "--channels", str(channel_file),
+                         "--z0", z0)
+    assert code == 2
+    assert out == ""
+    assert "reference impedance must lie in [1e-75, 1e+75]" in err
+    code, out, err = run(capsys, "simulate", "--scenario", "rayleigh", "--sizes", "8",
+                         "--trials", "2", "--arch", arch, "--z0", z0,
+                         "--out", str(tmp_path / "records.csv"))
+    assert code == 2
+    assert "reference impedance must lie in [1e-75, 1e+75]" in err
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_z0_range_edges_are_exact(tmp_path, capsys, scenario):
+    """At both ends of the z0 range every architecture's ratio_full is within 1e-9 of z0 = 50's, with no warning."""
+    def ratios(z0):
+        records_file = tmp_path / f"records_{z0}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run(capsys, "simulate", "--scenario", scenario, "--sizes", "4,8,64",
+                             "--trials", "4", "--arch", ",".join(Z0_ARCHS), "--z0", z0,
+                             "--out", str(records_file))
+        assert code == 0
+        return [float(row["ratio_full"]) for row in csv.DictReader(records_file.open())]
+
+    reference = ratios("50")
+    for z0 in ("1e-75", "1e75"):
+        assert np.allclose(ratios(z0), reference, rtol=0.0, atol=1e-9)
 
 
 def test_simulate_bad_sizes_text(tmp_path, capsys):

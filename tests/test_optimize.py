@@ -26,9 +26,6 @@ from bdris.optimize import (
     brute_force_power_search,
     build_tc_system,
     optimize,
-    optimize_gc,
-    optimize_sc,
-    optimize_tc,
 )
 
 PAPER_PAIR = ChannelPair(np.array([2j, 3 + 1j]), np.array([(3 + 1j) / 2, 1j]))
@@ -124,7 +121,7 @@ def test_build_tc_system_rejects_single_element():
 
 
 def test_optimize_tc_worked_example():
-    res = optimize_tc(PAPER_PAIR, z0=1.0)
+    res = optimize(PAPER_PAIR, parse_arch("tc", 2), z0=1.0)
     b = res.b_matrix.matrix
     assert b[0, 0] == pytest.approx(-2.0 / 3.0, rel=1e-9)
     assert b[1, 1] == pytest.approx(2.0 / 3.0, rel=1e-9)
@@ -139,53 +136,53 @@ def test_optimize_tc_worked_example():
 
 def test_optimize_tc_rayleigh_consistent():
     pair = gen_rayleigh(16, Rng(5))
-    res = optimize_tc(pair, z0=50.0)
+    res = optimize(pair, parse_arch("tc", 16), z0=50.0)
     assert res.consistent
     assert res.ratio_full >= 1.0 - 1e-6
 
 
 def test_optimize_sc_frozen_and_los():
     e1 = ChannelPair(np.array([1.0 + 0j]), np.array([1.0 + 0j]))
-    res = optimize_sc(e1, z0=50.0)
+    res = optimize(e1, parse_arch("sc", 1), z0=50.0)
     assert res.b_matrix.matrix[0, 0] == 0.0
     assert res.p_r == pytest.approx(1.0, rel=1e-12)
 
-    res = optimize_sc(PAPER_PAIR, z0=50.0)
+    res = optimize(PAPER_PAIR, parse_arch("sc", 2), z0=50.0)
     assert res.p_bar_arch == pytest.approx(40.0, rel=1e-12)
     assert res.p_r == pytest.approx(40.0, rel=1e-6)
     assert res.ratio_full == pytest.approx(40.0 / 49.0, rel=1e-6)
     assert res.consistent and res.residual_norm == 0.0
 
     los = gen_los(16, Rng(21))
-    assert optimize_sc(los, z0=50.0).ratio_full >= 1.0 - 1e-6
+    assert optimize(los, parse_arch("sc", 16), z0=50.0).ratio_full >= 1.0 - 1e-6
 
 
 def test_optimize_sc_zero_entry():
     pair = ChannelPair(np.array([0j, 1.0 + 0j]), np.array([1.0 + 0j, 1j]))
-    res = optimize_sc(pair, z0=50.0)
+    res = optimize(pair, parse_arch("sc", 2), z0=50.0)
     assert res.b_matrix.matrix[0, 0] == 0.0
     assert res.p_r >= (1.0 - 1e-6) * res.p_bar_arch
 
 
 def test_optimize_gc_matches_sc_for_singleton_groups():
-    gc = optimize_gc(PAPER_PAIR, cuts=(1,), z0=50.0)
-    sc = optimize_sc(PAPER_PAIR, z0=50.0)
+    gc = optimize(PAPER_PAIR, ArchitectureSpec(KIND_GROUP, 2, (1,)), z0=50.0)
+    sc = optimize(PAPER_PAIR, parse_arch("sc", 2), z0=50.0)
     assert gc.p_r == pytest.approx(sc.p_r, rel=1e-9)
     assert gc.p_bar_arch == pytest.approx(40.0, rel=1e-12)
 
 
 def test_optimize_gc_reaches_group_bound():
     fav = gen_gc_favorable(12, 2, Rng(31))
-    res = optimize_gc(fav, cuts=tuple(range(2, 12, 2)), z0=50.0)
+    res = optimize(fav, ArchitectureSpec(KIND_GROUP, 12, tuple(range(2, 12, 2))), z0=50.0)
     assert res.p_r >= 0.999 * res.p_bar_full
 
     ray = gen_rayleigh(8, Rng(32))
-    res = optimize_gc(ray, cuts=(4,), z0=50.0)
+    res = optimize(ray, ArchitectureSpec(KIND_GROUP, 8, (4,)), z0=50.0)
     assert res.p_r >= (1.0 - 1e-6) * upper_bound_gc(ray, (4,))
     assert res.consistent
 
     # no cuts means one dense block, which reaches the full bound
-    res = optimize_gc(ray, cuts=(), z0=50.0)
+    res = optimize(ray, ArchitectureSpec(KIND_GROUP, 8, ()), z0=50.0)
     assert res.ratio_full >= 1.0 - 1e-6
 
 
@@ -195,7 +192,7 @@ def test_optimize_gc_degenerate_group_fallback():
     h_t = np.array([-1.0 + 0j, -1j, 0.7 + 0j])
     nr = np.linalg.norm(h_r)
     pair = ChannelPair(h_r, h_t * (nr / np.linalg.norm(h_t)))
-    res = optimize_gc(pair, cuts=(2,), z0=50.0)
+    res = optimize(pair, ArchitectureSpec(KIND_GROUP, 3, (2,)), z0=50.0)
     assert res.p_r >= 0.999 * res.p_bar_arch
 
 

@@ -30,13 +30,13 @@ from bdris.optimize import (
     NEAR_SINGULAR_RTOL,
     _group_entries,
     _phase_align_susceptance,
+    _solve_tc,
     _solve_tridiagonal,
     _stacked_system,
     _steering,
     _symmetric_block,
     build_tc_system,
     optimize,
-    optimize_tc,
 )
 
 optimize_module = importlib.import_module("bdris.optimize")
@@ -252,7 +252,7 @@ def test_gc1_and_single_element_surfaces(svd_calls):
     assert np.array_equal(fc1.b_matrix.matrix, sc1.b_matrix.matrix) and fc1.p_r == sc1.p_r
     assert not svd_calls
     with pytest.raises(InputError):
-        optimize_tc(one, Z0)
+        _solve_tc(one.h_r, one.h_t, Z0)
 
 
 def test_singleton_groups_inside_cut_list(svd_calls):

@@ -37,7 +37,8 @@ For --arch tc the same spans are named for what they hold there:
 - factors: scattering_from_susceptance less its check, that is the
   Cayley map's factors (and the dense sweep, where Theta is dense);
 - check: the construction check, the O(n) bound or the dense check;
-- apply: received_power, Theta h_t;
+- apply: Theta h_t and the received power (ScatteringMatrix.apply and
+  _received_powers, or received_power on a tree with optimize_tc);
 - steering: the rest of the call (the steering solve, B's bands, bounds);
 - dense_fallbacks: the calls whose Theta is a dense matrix, a count (on a
   tree without the operator layout, every call).
@@ -246,10 +247,11 @@ def measure(arch: str, sizes: list[int]) -> dict:
 
     spans: dict[str, float] = {}
     optimize.scattering_from_susceptance = timed(spans, "map", optimize.scattering_from_susceptance)
-    if arch == "tc" or not hasattr(optimize, "_received_powers"):
+    if not hasattr(optimize, "_received_powers") or (arch == "tc" and hasattr(optimize, "optimize_tc")):
         optimize.received_power = timed(spans, "power", optimize.received_power)
     else:
-        # sc, gc and fc take Theta h_t by apply and p_r by _received_powers
+        # Theta h_t by apply and p_r by _received_powers (tc too, on a tree
+        # without optimize_tc)
         optimize._received_powers = timed(spans, "power", optimize._received_powers)
         architecture.ScatteringMatrix.apply = timed(spans, "power", architecture.ScatteringMatrix.apply)
     post_init = architecture.ScatteringMatrix.__post_init__

@@ -22,6 +22,7 @@ from .linalg import (
     MatrixCheck,
     TridiagonalLDL,
     check_symmetric_unitary,
+    row_norms,
 )
 
 DEFAULT_Z0 = 50.0
@@ -157,25 +158,30 @@ def pattern_mask(spec: ArchitectureSpec) -> np.ndarray:
     return mask
 
 
-def groups_by_width(cuts, n: int) -> tuple[np.ndarray, ...]:
-    """Element index of the cut partition's groups, one (g, w) array per width w.
+def groups_by_width(cuts, n: int, count: int = 1) -> tuple[np.ndarray, ...]:
+    """Element index of the cut partition's groups, one (g, w) array per width w, over count pairs end to end.
 
     Row i of a width's array holds the elements of its i-th group of that
-    width.  Widths come in increasing order.  The arrays are cached per
-    (cuts, n) and read-only.
+    width, pair k's groups (offset by k n) after pair k - 1's.  Widths come
+    in increasing order.  The arrays are cached per (cuts, n, count) and
+    read-only, so a solve of count pairs builds no index; an entry holds
+    count n indices.
     """
-    return _partition(tuple(cuts), n)[1]
+    return _groups_by_width(tuple(cuts), n, count)
 
 
 @lru_cache(maxsize=256)
-def _partition(cuts: tuple, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(group starts, groups by width) of the cut partition, as read-only arrays."""
-    spans = np.array(partition_from_cuts(cuts, n))
-    starts, widths = spans[:, 0], spans[:, 1] - spans[:, 0]
-    groups = tuple(starts[widths == w][:, None] + np.arange(w) for w in sorted(set(widths.tolist())))
-    for array in (starts, *groups):
+def _groups_by_width(cuts: tuple, n: int, count: int) -> tuple[np.ndarray, ...]:
+    if count > 1:
+        offsets = n * np.arange(count)[:, None, None]
+        groups = tuple((idx + offsets).reshape(-1, idx.shape[1]) for idx in _groups_by_width(cuts, n, 1))
+    else:
+        spans = np.array(partition_from_cuts(cuts, n))
+        starts, widths = spans[:, 0], spans[:, 1] - spans[:, 0]
+        groups = tuple(starts[widths == w][:, None] + np.arange(w) for w in sorted(set(widths.tolist())))
+    for array in groups:
         array.flags.writeable = False
-    return starts, groups
+    return groups
 
 
 def _dense(n: int, blocks, dtype) -> np.ndarray:
@@ -443,7 +449,7 @@ def _factored_check(q: np.ndarray, core: np.ndarray) -> MatrixCheck:
     """
     width, r = q.shape[-2:]
     check = check_symmetric_unitary(core)
-    eye = np.eye(r)
+    eye = _identity(r)
     gram_defect = _max_frobenius(q.swapaxes(-1, -2) @ q - eye)
     e = gram_defect + 2 * (width + 1) * _EPS * (1.0 + gram_defect)
     m = _max_frobenius(core - eye)
@@ -456,8 +462,8 @@ def _factored_check(q: np.ndarray, core: np.ndarray) -> MatrixCheck:
 
 
 def _max_frobenius(m: np.ndarray) -> float:
-    """The largest Frobenius norm over a stack of matrices."""
-    a = np.abs(m)
+    """The largest Frobenius norm over a stack of real or complex matrices."""
+    a = np.abs(m) if np.iscomplexobj(m) else m
     return math.sqrt((a * a).sum(axis=(-2, -1)).max())
 
 
@@ -511,7 +517,7 @@ def _cayley(values: np.ndarray, z0: float) -> np.ndarray:
     width = values.shape[-1]
     if width == 1:
         return (1 - jb) / (1 + jb)
-    eye = np.eye(width)
+    eye = _identity(width)
     jb += eye  # I + j z0 B, in place
     try:
         theta = np.linalg.inv(jb)
@@ -520,6 +526,14 @@ def _cayley(values: np.ndarray, z0: float) -> np.ndarray:
     theta *= 2.0
     theta -= eye
     return theta
+
+
+@lru_cache(maxsize=64)
+def _identity(width: int) -> np.ndarray:
+    """The width x width identity, cached read-only: the Cayley map and the factored check take it per call."""
+    eye = np.eye(width)
+    eye.flags.writeable = False
+    return eye
 
 
 def _tridiagonal_ldl(a: np.ndarray, c: np.ndarray) -> TridiagonalLDL:
@@ -632,24 +646,37 @@ def _full_bound(norm_r, norm_t) -> float:
 def upper_bound_gc(pair, cuts) -> float:
     """Group-connected bound: (sum_g ||h_r,g|| ||h_t,g||)^2 over the cut partition.
 
-    A singleton group's norm sqrt(|h|^2) rounds back to |h| exactly (short
-    of underflow), so the all-singleton partition gives sc's bound
-    (sum_i |h_r,i| |h_t,i|)^2 bit for bit.
+    The group norms are group_norms of each width's groups, and the sum
+    runs width by width (group_bounds), as the optimizer sums a pair's
+    bound from the norms its group solve formed, so the two agree bit for
+    bit.  A singleton group's norm is the modulus, sc's element norm, so
+    the all-singleton partition gives sc's bound bit for bit.
     """
-    return _group_bounds(pair.h_r, pair.h_t, cuts, pair.n)[0]
+    return group_bounds([(group_norms(pair.h_r[idx]), group_norms(pair.h_t[idx]))
+                         for idx in groups_by_width(cuts, pair.n)], 1)[0]
 
 
-def _group_bounds(h_r, h_t, cuts, n: int) -> list[float]:
-    """upper_bound_gc of each pair of size n in channels concatenated pair after pair.
+def group_norms(h) -> np.ndarray:
+    """The norm of each row of h (its last axis, a group's entries): linalg.row_norms, the modulus at width 1.
 
-    Every group norm is a reduceat segment and every pair's sum a row of a
-    contiguous array, so each bound rounds as it does for the pair alone.
+    row_norms rounds each norm as np.linalg.norm does.  A one-entry group
+    takes np.abs instead, the element norm of sc's bound, which a nonzero
+    entry never underflows to zero in, as its sqrt(re^2 + im^2) can.
     """
-    count = h_r.size // n
-    starts = (_partition(tuple(cuts), n)[0] + n * np.arange(count)[:, None]).ravel()
-    nr = np.sqrt(np.add.reduceat(np.abs(h_r) ** 2, starts))
-    nt = np.sqrt(np.add.reduceat(np.abs(h_t) ** 2, starts))
-    return [float(s ** 2) for s in (nr * nt).reshape(count, -1).sum(axis=1)]
+    return np.abs(h[..., 0]) if h.shape[-1] == 1 else row_norms(h)
+
+
+def group_bounds(norms, count: int) -> list[float]:
+    """upper_bound_gc of each of count pairs, from the group norms of every width of their partition.
+
+    norms holds one (norms_r, norms_t) per width, each a 1-D array of that
+    width's group norms with the pairs' groups one pair after another.
+    Each pair's sum of ||h_r,g|| ||h_t,g|| is taken width by width, each
+    width's part a row sum of a contiguous (count, g) array, so it rounds
+    as it does for the pair alone.
+    """
+    sums = [(norms_r * norms_t).reshape(count, -1).sum(axis=1) for norms_r, norms_t in norms]
+    return [float(s ** 2) for s in sum(sums[1:], sums[0])]
 
 
 def _check_z0(z0) -> None:

@@ -38,6 +38,7 @@ well-behaved heuristic when it is not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -54,15 +55,15 @@ from .architecture import (
     ScatteringMatrix,
     SusceptanceMatrix,
     _check_z0,
-    _group_bounds,
     full_bounds,
+    group_bounds,
+    group_norms,
     groups_by_width,
     pattern_mask,
     received_power,
     scattering_from_susceptance,
-    upper_bound_full,
 )
-from .channel import ChannelPair, ChannelStack, Rng, normalize
+from .channel import ChannelPair, ChannelStack, Rng
 from .errors import InputError, NumericalFailure
 from .linalg import min_norm_least_squares, row_norms
 
@@ -148,7 +149,8 @@ def build_tc_system(pair: ChannelPair, z0: float = DEFAULT_Z0) -> LinearSystem:
     reads B_kk alpha_k + B_{k-1,k} alpha_{k-1} + B_{k,k+1} alpha_{k+1};
     the real stacking puts real parts on top of imaginary parts.
     """
-    alpha, beta = _tc_steering(pair.h_r, pair.h_t, z0)
+    _check_z0(z0)
+    alpha, beta = _tc_steering(pair.h_r, pair.h_t, pair.norm_r, pair.norm_t, z0)
     a, b = _stacked_system(alpha, beta, _tc_entries(pair.n))
     return LinearSystem(a=a, b=b, alpha=alpha, n=pair.n)
 
@@ -156,7 +158,7 @@ def build_tc_system(pair: ChannelPair, z0: float = DEFAULT_Z0) -> LinearSystem:
 def optimize(pair: ChannelPair, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> OptimizeResult:
     """The architecture-constrained optimum for one pair: optimize_trials at one pair, with its B and Theta."""
     _check_sizes([pair], spec)
-    b, theta, (row,) = _solve(pair.h_r, pair.h_t, [upper_bound_full(pair)], spec, z0)
+    b, theta, (row,) = _solve(pair.h_r, pair.h_t, [pair.norm_r], [pair.norm_t], spec, z0)
     return OptimizeResult(*row, b_matrix=b, theta=theta)
 
 
@@ -177,12 +179,12 @@ def optimize_trials(pairs, spec: ArchitectureSpec, z0: float = DEFAULT_Z0) -> li
     else:
         _check_sizes(pairs, spec)
         stack = ChannelStack.of(pairs, spec.n)
-    full = full_bounds(stack.norms_r, stack.norms_t)
     step = 1 if _recursive(spec) else max(1, _STACK_ELEMENTS // spec.n)
     rows = []
     for lo in range(0, len(stack), step):
-        rows += _solve(stack.h_r[lo:lo + step].reshape(-1), stack.h_t[lo:lo + step].reshape(-1),
-                       full[lo:lo + step], spec, z0)[2]
+        chunk = slice(lo, lo + step)
+        rows += _solve(stack.h_r[chunk].reshape(-1), stack.h_t[chunk].reshape(-1),
+                       stack.norms_r[chunk], stack.norms_t[chunk], spec, z0)[2]
     return list(map(TrialResult._make, rows))
 
 
@@ -202,60 +204,62 @@ def _recursive(spec: ArchitectureSpec) -> bool:
     return spec.kind == KIND_TREE and spec.n > 1
 
 
-def _solve(h_r, h_t, full, spec: ArchitectureSpec, z0: float):
-    """(B, Theta, rows) of the architecture for len(full) pairs end to end.
+def _solve(h_r, h_t, norms_r, norms_t, spec: ArchitectureSpec, z0: float):
+    """(B, Theta, rows) of the architecture for len(norms_r) pairs end to end.
 
-    h_r and h_t hold the pairs one after another, one channel of len(full)
-    n elements, and full their p_bar_full, upper_bound_full of each.  tc
-    (one pair, _recursive) hands over B as its bands (_solve_tc); sc, and
-    tc at n = 1, phase-align the channel entry by entry; gc and fc repeat the
-    cut partition once per pair and each width's groups, of every pair, go
+    h_r and h_t hold the pairs one after another, one channel of
+    len(norms_r) n elements, and norms_r and norms_t the norms of each
+    pair's channels, as its check computed them.  tc (one pair,
+    _recursive) hands over B as its bands (_solve_tc); sc, and tc at n = 1,
+    phase-align the channel entry by entry; gc and fc repeat the cut
+    partition once per pair and each width's groups, of every pair, go
     through one _solve_groups call.  Each group is normalized on its own,
     which pins its contribution to phase zero so that the groups add
     coherently, and makes its consistency scalar Im(alpha^H beta) vanish
-    identically.  B and Theta hold the whole stack, so
-    the Cayley map and its construction check run once per width.  Every
-    step works group by group, so a pair's blocks, residuals and slice of
-    Theta h_t are those it gets alone.  rows holds one (p_r, p_bar_full,
-    p_bar_arch, ratio_full, residual_norm, consistent) per pair: p_r from
-    h_r^H (Theta h_t) over the pair's own slices, the residual and its scale
-    the largest over the pair's own groups, and the bounds as the pair
-    rounds them alone (_received_powers takes every p_r at once).
+    identically.  B and Theta hold the whole stack, so the Cayley map and
+    its construction check run once per width.  Every step works group by
+    group, so a pair's blocks, residuals and slice of Theta h_t are those
+    it gets alone.  rows holds one (p_r, p_bar_full, p_bar_arch,
+    ratio_full, residual_norm, consistent) per pair: p_r from h_r^H (Theta
+    h_t) over the pair's own slices, the residual and its scale the largest
+    over the pair's own groups, and the bounds as the pair rounds them
+    alone (_received_powers takes every p_r at once).  The gc and fc bound
+    is group_bounds of the norms each width's group solve formed, and sc's
+    of the element moduli, the same norms at width 1.
     """
     _check_z0(z0)
-    count = len(full)
+    count = len(norms_r)
     n = h_r.size // count
+    full = full_bounds(norms_r, norms_t)
     if _recursive(spec):
-        b, residual, consistent = _solve_tc(h_r, h_t, z0)
+        b, residual, consistent = _solve_tc(h_r, h_t, norms_r[0], norms_t[0], z0)
         residuals, consistent = [residual], [consistent]
     elif spec.kind in (KIND_SINGLE, KIND_TREE):
         d = _phase_align_susceptance(h_r, h_t, z0)
         b = SusceptanceMatrix(((np.arange(h_r.size)[:, None], d[:, None, None]),))
-        # a row sum rounds like the sum of the pair's own vector
-        bounds = [float(s ** 2) for s in (np.abs(h_r) * np.abs(h_t)).reshape(count, n).sum(axis=1)]
+        bounds = group_bounds([(np.abs(h_r), np.abs(h_t))], count)  # width-1 group_norms
         residuals = [0.0] * count
         consistent = [True] * count
     else:
-        cuts = spec.effective_cuts
         blocks = []
         factors = []
-        residuals = scales = np.zeros(count)
-        offsets = n * np.arange(count)[:, None, None]
-        for idx in groups_by_width(cuts, n):
-            stacked = (idx + offsets).reshape(-1, idx.shape[1])
-            dense, factored, res, rhs = _solve_groups(stacked, h_r, h_t, z0)
+        norms = []
+        peaks = []
+        for idx in groups_by_width(spec.effective_cuts, n, count):
+            dense, factored, res, rhs, *width_norms = _solve_groups(idx, h_r, h_t, z0)
             if dense is not None:
                 blocks.append(dense)
             if factored is not None:
                 factors.append(factored)
-            residuals = np.maximum(residuals, res.reshape(count, -1).max(axis=1))
-            scales = np.maximum(scales, rhs.reshape(count, -1).max(axis=1))
+            norms.append(width_norms)
+            # each pair's largest residual and ||rhs|| over its groups of this width
+            peaks.append(np.concatenate((res, rhs)).reshape(2, count, -1).max(axis=2))
         b = SusceptanceMatrix(tuple(blocks), factors=tuple(factors))
-        bounds = _group_bounds(h_r, h_t, cuts, n)
-        residuals = residuals.tolist()
+        bounds = group_bounds(norms, count)
+        residuals, scales = functools.reduce(np.maximum, peaks).tolist()
         # a pair with no scale (every group dead or phased) is consistent
         consistent = [residual <= CONSISTENT_RTOL * scale if scale > 0.0 else True
-                      for residual, scale in zip(residuals, scales.tolist())]
+                      for residual, scale in zip(residuals, scales)]
     if spec.kind == KIND_TREE:
         bounds = full  # tc's bound, which sc's equals at n = 1 up to rounding
     theta = scattering_from_susceptance(b, z0)
@@ -264,7 +268,7 @@ def _solve(h_r, h_t, full, spec: ArchitectureSpec, z0: float):
     return b, theta, list(zip(p_r, full, bounds, ratios, residuals, consistent))
 
 
-def _solve_tc(h_r, h_t, z0: float):
+def _solve_tc(h_r, h_t, norm_r, norm_t, z0: float):
     """(B as its bands, residual norm, consistent) of one pair's tridiagonal steering system.
 
     The O(n) recursion solves it, and minimum-norm least squares on
@@ -273,10 +277,11 @@ def _solve_tc(h_r, h_t, z0: float):
     adversarial set).  Either way B is handed over as its bands, the
     diagonal and the couplings, with no dense n x n B, and its Theta is the
     Cayley map's O(n) operator on the L D L^T factors of I + j z0 B (or,
-    when their bound fails, the O(n^2) dense sweep).  Needs n >= 2.
+    when their bound fails, the O(n^2) dense sweep).  norm_r and norm_t are
+    the norms of h_r and h_t (_tc_steering).  Needs n >= 2.
     """
     n = h_r.size
-    solved = _solve_tridiagonal(*_tc_steering(h_r, h_t, z0))
+    solved = _solve_tridiagonal(*_tc_steering(h_r, h_t, norm_r, norm_t, z0))
     if solved is None:
         system = build_tc_system(ChannelPair(h_r, h_t), z0)
         sol = min_norm_least_squares(system.a, system.b)
@@ -325,7 +330,7 @@ def brute_force_power_search(pair: ChannelPair, spec: ArchitectureSpec,
     never exceed the full upper bound.
     """
     _check_sizes([pair], spec)
-    if not isinstance(budget, int) or budget < 1:
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise InputError(f"evaluation budget must be a positive integer, got {budget!r}")
     if rng is None:
         raise InputError("brute_force_power_search needs an explicit rng")
@@ -440,12 +445,16 @@ def _steering(hr_hat, ht_hat, z0: float):
     return 1j * z0 * (hr_hat + ht_hat), ht_hat - hr_hat
 
 
-def _tc_steering(h_r, h_t, z0: float):
-    """alpha and beta of the whole-surface steering system, for n >= 2."""
+def _tc_steering(h_r, h_t, norm_r, norm_t, z0: float):
+    """alpha and beta of the whole-surface steering system, for n >= 2.
+
+    norm_r and norm_t are the norms of h_r and h_t that the pair's (or the
+    stack's) check computed, rounded as np.linalg.norm rounds them, so the
+    unit channels are channel.normalize's bit for bit.
+    """
     if h_r.size < 2:
         raise InputError("the tridiagonal steering system needs n >= 2")
-    _check_z0(z0)
-    return _steering(normalize(h_r), normalize(h_t), z0)
+    return _steering(h_r / norm_r, h_t / norm_t, z0)
 
 
 def _solve_tridiagonal(alpha, beta):
@@ -479,18 +488,19 @@ def _solve_tridiagonal(alpha, beta):
 
 
 def _solve_groups(idx, h_r, h_t, z0: float):
-    """(dense, factored, residual norms, ||rhs||) of the steering systems of equal-width groups.
+    """(dense, factored, residual norms, ||rhs||, norms_r, norms_t) of the steering systems of equal-width groups.
 
     idx has shape (groups, width), the elements of each group.  Each group
     is classified once: a dead group (zero channel on either side)
     contributes nothing for any block and gets a zero block; a width-1 or
     degenerate group (hr_hat ~ -ht_hat, vanishing alpha) gets per-element
     phasing, sc's closed form, which meets the group bound; both report
-    zero residual and ||rhs||.  Any other group takes the minimum-Frobenius
-    real symmetric B with B X = Y, X = [Re alpha, Im alpha] = [-z0 Im s,
-    z0 Re s] with s = hr_hat + ht_hat, Y = [Re beta, Im beta]: Y X+ + X+^T
-    Y^T - X+^T X^T Y X+, X+ = (X^T X)^-1 X^T, which exists exactly when X^T
-    Y is symmetric, as per-group normalization guarantees.  Only a group
+    zero residual and ||rhs||.  Any other group
+    takes the minimum-Frobenius real symmetric B with B X = Y, X = [Re
+    alpha, Im alpha] = [-z0 Im s, z0 Re s] with s = hr_hat + ht_hat, Y =
+    [Re beta, Im beta]: Y X+ + X+^T Y^T - X+^T X^T Y X+, X+ = (X^T X)^-1
+    X^T, which exists exactly when X^T Y is symmetric, as per-group
+    normalization guarantees.  Only a group
     whose Gram determinant is at most NEAR_SINGULAR_RTOL times the product
     of its diagonal, or whose residual fails CONSISTENT_RTOL, goes to
     minimum-norm least squares on its real-stacked system.
@@ -511,11 +521,16 @@ def _solve_groups(idx, h_r, h_t, z0: float):
     at width <= _FACTOR_RANK, where _closed_form_blocks solves, and the
     groups no closed form solved at a wider width.  factored is (index, q,
     s), the closed-form groups of a wider width as _closed_form_factors
-    gives them.  Either is None when it holds no group.
+    gives them.  Either is None when it holds no group.  When every group
+    took the closed form, the residuals, ||rhs|| and blocks or factors are
+    handed over as the closed form made them, in group order; otherwise
+    the groups it did not solve get zero residual and ||rhs|| beside them.
+    norms_r and norms_t are the group norms of hr and ht (group_norms),
+    from which the caller sums the architecture bound (group_bounds).
     """
     hr, ht = h_r[idx], h_t[idx]
     groups, width = idx.shape
-    nr, nt = row_norms(hr), row_norms(ht)
+    nr, nt = group_norms(hr), group_norms(ht)
     # each group's real and imaginary parts in turn, one row of floats
     live, hv, tv, live_nr, live_nt = _narrow((nr > 0.0) & (nt > 0.0), np.arange(groups),
                                              hr.view(float), ht.view(float), nr, nt)
@@ -545,6 +560,11 @@ def _solve_groups(idx, h_r, h_t, z0: float):
         closed, res, rhs, *solved = _narrow(ok, regular, res, rhs, *solved)
         if closed.size < regular.size:
             fallback = np.union1d(fallback, regular[~ok])
+    if closed.size == groups:
+        # every group took the closed form: its outputs go on as solved
+        if width <= _FACTOR_RANK:
+            return (idx, solved[0]), None, res, rhs, nr, nt
+        return None, (idx, *solved), res, rhs, nr, nt
     residuals = np.zeros(groups)
     rhs_norms = np.zeros(groups)
     if closed.size:
@@ -553,8 +573,6 @@ def _solve_groups(idx, h_r, h_t, z0: float):
         slot, factored = np.arange(groups), None
     else:
         factored = (idx[closed], *solved) if closed.size else None
-        if closed.size == groups:
-            return None, factored, residuals, rhs_norms
         # only the groups no closed form solved get a dense block
         held = np.ones(groups, dtype=bool)
         held[closed] = False
@@ -570,11 +588,11 @@ def _solve_groups(idx, h_r, h_t, z0: float):
         entries = _group_entries(width)
         _check_fallback_size(width, entries)
     for g in fallback:
-        # row_norms rounds as np.linalg.norm does, so this leg is the SVD
-        # solve of the group alone
+        # group_norms rounds as np.linalg.norm does above width 1, so this
+        # leg is the SVD solve of the group alone
         system = _stacked_system(*_steering(hr[g] / nr[g], ht[g] / nt[g], z0), entries)
         blocks[slot[g]], residuals[g], rhs_norms[g] = _least_squares_block(*system, entries, width)
-    return (idx, blocks), factored, residuals, rhs_norms
+    return (idx, blocks), factored, residuals, rhs_norms, nr, nt
 
 
 def _narrow(keep, *arrays):
@@ -640,12 +658,12 @@ def _closed_form_factors(xy):
     X^T Q S Q^T - Y^T take O(w) work.
     """
     q, r = np.linalg.qr(xy.swapaxes(1, 2))
-    m = r[:, :, 2:].copy()  # M = R_y T^-1, by forward substitution
+    s = np.zeros((len(r), _FACTOR_RANK, _FACTOR_RANK))
+    m = s[:, :, :2]  # M = R_y T^-1, by forward substitution in place
+    m[...] = r[:, :, 2:]
     m[:, :, 0] /= r[:, 0, 0, None]
     m[:, :, 1] -= r[:, 0, 1, None] * m[:, :, 0]
     m[:, :, 1] /= r[:, 1, 1, None]
-    s = np.zeros((len(r), _FACTOR_RANK, _FACTOR_RANK))
-    s[:, :, :2] = m
     s = s + s.transpose(0, 2, 1)
     s[:, :2, :2] *= 0.5  # exactly symmetric
     residual = ((xy[:, :2] @ q) @ s) @ q.swapaxes(1, 2) - xy[:, 2:]

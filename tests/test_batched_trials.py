@@ -23,6 +23,8 @@ import pytest
 from bdris.adversarial import is_tc_adversarial, is_tc_adversarial_bruteforce, tc_membership
 from bdris.architecture import (
     DEFAULT_Z0,
+    KIND_GROUP,
+    ArchitectureSpec,
     full_bounds,
     groups_by_width,
     parse_arch,
@@ -100,8 +102,13 @@ def assert_same_figures(batch, pairs, spec):
 
 def mixed_pair(rng, kinds, width):
     """A pair whose width-`width` groups are of the given kinds, in order."""
+    return partitioned_pair(rng, [(width, kind) for kind in kinds])[0]
+
+
+def partitioned_pair(rng, groups):
+    """A pair of the (width, kind) groups in order, and the cuts between them."""
     h_r, h_t = [], []
-    for kind in kinds:
+    for width, kind in groups:
         hr = rng.standard_normal(width) + 1j * rng.standard_normal(width)
         ht = rng.standard_normal(width) + 1j * rng.standard_normal(width)
         if kind == "dead":
@@ -114,7 +121,8 @@ def mixed_pair(rng, kinds, width):
             hr, ht = hr.real.astype(complex), ht.real.astype(complex)
         h_r.append(hr)
         h_t.append(ht)
-    return ChannelPair(np.concatenate(h_r), np.concatenate(h_t))
+    cuts = tuple(np.cumsum([width for width, _ in groups])[:-1].tolist())
+    return ChannelPair(np.concatenate(h_r), np.concatenate(h_t)), cuts
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIO_TABLE))
@@ -213,6 +221,68 @@ def test_n1_tc_takes_sc_with_the_full_bound():
     batch = optimize_trials(pairs, parse_arch("tc", 1))
     assert_same_figures(batch, pairs, parse_arch("tc", 1))
     assert all(r.p_bar_arch == r.p_bar_full for r in batch)
+
+
+BOUND_CASES = (
+    # mixed widths, each kind beside the others: dead, degenerate, SVD fallback
+    ((1, "regular"), (2, "regular"), (4, "dead"), (1, "dead"), (3, "real"), (2, "degenerate")),
+    ((3, "regular"), (1, "regular"), (7, "degenerate"), (3, "real"), (7, "regular")),
+    ((5, "real"), (2, "dead"), (5, "regular"), (1, "degenerate"), (8, "regular")),
+)
+
+
+@pytest.mark.parametrize("groups", BOUND_CASES)
+def test_arch_bound_is_upper_bound_gc_on_mixed_partitions(groups, monkeypatch):
+    # p_bar_arch is summed from the group solve's own norms, width by width;
+    # upper_bound_gc sums the same norms the same way, so the two agree
+    # exactly, on every group kind and whichever partition the widths make
+    rng = np.random.default_rng(len(groups))
+    fallbacks = []
+    real_solve = optimize_module.min_norm_least_squares
+    monkeypatch.setattr(optimize_module, "min_norm_least_squares",
+                        lambda a, b: fallbacks.append(a.shape) or real_solve(a, b))
+    pairs, cuts = zip(*(partitioned_pair(rng, groups) for _ in range(5)))
+    spec = ArchitectureSpec(KIND_GROUP, pairs[0].n, cuts[0])
+    for pair in pairs:
+        assert optimize(pair, spec).p_bar_arch == upper_bound_gc(pair, cuts[0])
+    assert fallbacks
+    assert_same_figures(optimize_trials(pairs, spec), pairs, spec)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_arch_bound_is_upper_bound_gc_on_every_partition_kind(n):
+    pairs = [gen_rayleigh(n, Rng(400 + n + k)) for k in range(4)]
+    labels = ["sc", "gc:1", "fc"] + [label for label in ("gc:2", "gc:4", "gc:8", "gc:I=1,3,6")
+                                     if n >= 8 or label == "gc:2" and n == 2]
+    for label in labels:
+        spec = parse_arch(label, n)
+        for pair in pairs:
+            assert optimize(pair, spec).p_bar_arch == upper_bound_gc(pair, spec.effective_cuts)
+        assert_same_figures(optimize_trials(pairs, spec), pairs, spec)
+
+
+def test_gc1_phases_tiny_entries_as_sc():
+    # a singleton group's norm is its modulus, which no nonzero entry
+    # underflows to zero in, so gc:1 phase-aligns a tiny entry as sc does
+    # instead of taking it for a dead group
+    pair = gen_rayleigh(4, Rng(5))
+    h_r = pair.h_r.copy()
+    h_r[1] = 3e-170 - 2e-170j  # |h|^2 underflows to 0
+    pair = ChannelPair(h_r, pair.h_t)
+    sc, gc1 = (optimize(pair, parse_arch(label, 4)) for label in ("sc", "gc:1"))
+    assert sc.b_matrix.matrix[1, 1] != 0.0
+    assert np.array_equal(gc1.b_matrix.matrix, sc.b_matrix.matrix)
+    assert gc1.p_bar_arch == sc.p_bar_arch == upper_bound_gc(pair, (1, 2, 3))
+
+
+def test_tc_steering_checks_z0_once(monkeypatch):
+    # the steering solve divides by the norms the pair's check computed and
+    # leaves the z0 check to the one in _solve
+    calls = []
+    real_check = optimize_module._check_z0
+    monkeypatch.setattr(optimize_module, "_check_z0", lambda z0: calls.append(z0) or real_check(z0))
+    optimize(gen_rayleigh(8, Rng(6)), parse_arch("tc", 8))
+    assert calls == [DEFAULT_Z0]
 
 
 def test_stacks_are_split_at_the_element_cap(monkeypatch):
@@ -321,10 +391,10 @@ def _failing_on(target):
     """_solve_tc, raising NumericalFailure on a pair of the target's values."""
     real = optimize_module._solve_tc
 
-    def solve_tc(h_r, h_t, z0):
+    def solve_tc(h_r, h_t, *args):
         if np.array_equal(bits(h_r), bits(target.h_r)) and np.array_equal(bits(h_t), bits(target.h_t)):
             raise NumericalFailure("tc failed")
-        return real(h_r, h_t, z0)
+        return real(h_r, h_t, *args)
 
     return solve_tc
 

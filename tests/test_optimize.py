@@ -350,10 +350,12 @@ def test_brute_force_trivial_and_validation():
         assert res.p_r >= 1.0 - 1e-6
     with pytest.raises(InputError):
         brute_force_power_search(e1, ArchitectureSpec(KIND_TREE, 2), z0=50.0, budget=100)
-    with pytest.raises(InputError):
-        brute_force_power_search(
-            e1, ArchitectureSpec(KIND_TREE, 2), z0=50.0, budget=0, rng=Rng(0)
-        )
+    # a bool is an int to Python, and True would silently buy one evaluation
+    for budget in (0, True, False):
+        with pytest.raises(InputError):
+            brute_force_power_search(
+                e1, ArchitectureSpec(KIND_TREE, 2), z0=50.0, budget=budget, rng=Rng(0)
+            )
 
 
 def test_brute_force_respects_pattern():

@@ -252,7 +252,7 @@ def test_gc1_and_single_element_surfaces(svd_calls):
     assert np.array_equal(fc1.b_matrix.matrix, sc1.b_matrix.matrix) and fc1.p_r == sc1.p_r
     assert not svd_calls
     with pytest.raises(InputError):
-        _solve_tc(one.h_r, one.h_t, Z0)
+        _solve_tc(one.h_r, one.h_t, one.norm_r, one.norm_t, Z0)
 
 
 def test_singleton_groups_inside_cut_list(svd_calls):

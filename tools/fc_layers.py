@@ -20,8 +20,12 @@ Usage, from the repository root:
 Each tree is measured in its own interpreter, with PYTHONPATH set to its
 src directory and BLAS pinned to one thread.  For fc, gc4 and tc, the
 calls run on Rayleigh pairs drawn by Rng(1), Rng(2), ..., per size, and
-every layer reports its median over the calls, in ms.  For --arch fc (the
-default) and --arch gc4 (gc:4, groups of four):
+every layer reports its median over the calls, in ms.  Each timed call
+follows the dense CHECKER_N x CHECKER_N complex solve that the benchmark's
+checker (perfbench/check.py, check_surface) runs after every optimize()
+call of large_surface, so the call runs with the caches that solve leaves
+behind, as in the benchmark; a warm loop of calls alone reads fixed costs
+low.  For --arch fc (the default) and --arch gc4 (gc:4, groups of four):
 
 - total: the whole optimize() call;
 - cayley: scattering_from_susceptance, less its construction check;
@@ -72,9 +76,9 @@ records and summary CSVs to a temporary directory, after one small
 warm-up call.  Each criterion reports total (the call, in ms), its
 records, and records_per_s; --sizes does not apply.
 
-The trees are measured one after the other, in the order given; for the
-sweep and the acceptance sweeps, in SWEEP_PASSES alternating passes, each
-figure the median over its tree's passes.
+The trees are measured in PASSES alternating passes, one interpreter per
+tree and pass, in the order given, and each figure is the median over its
+tree's passes, so that drift of the host's speed reaches every tree alike.
 
 --skip TREE:N leaves a size out for one tree.  --append adds one entry,
 with the machine, versions, this command and --note, to a trajectory file
@@ -113,13 +117,18 @@ SWEEP_TRIALS = 25
 SWEEP_ARCHS = ("sc", "gc:4")
 # The architecture label each per-call mode times.
 ARCH_LABELS = {"fc": "fc", "gc4": "gc:4", "tc": "tc"}
-# Alternating passes over the trees for --arch sweep and acceptance (fc and
-# tc make one): a sweep is short enough for host speed to drift between two
-# trees measured one after the other, so these alternate the trees and
-# report each figure's median over their passes.
-SWEEP_PASSES = 5
-# What a figure is the median over, for the alternating modes.
+# Alternating passes over the trees, in every mode: host speed drifts
+# between two trees measured one after the other by more than the changes
+# measured here, so the trees alternate and each figure is the median over
+# its tree's passes.
+PASSES = 5
+# What a figure is the median over, within one pass (a call otherwise).
 UNITS = {"sweep": "round", "acceptance": "sweep"}
+# The size of the dense solve perfbench's checker runs after each
+# large_surface call (n = 256 for sc, gc:4 and tc), run before each timed
+# per-call measurement.
+CHECKER_N = 256
+CHECKER_Z0 = 50.0
 # The draw and membership entry points run_experiment may call, stacked
 # first: a tree that has the stacked one calls only that one.
 DRAW_ENTRIES = ("draw_trials", "gen_rayleigh")
@@ -147,6 +156,16 @@ def timed(spans: dict, name, fn):
             key = name(args) if callable(name) else name
             spans[key] = spans.get(key, 0.0) + time.perf_counter() - start
     return wrapper
+
+
+def checker_solve(b, h_t) -> None:
+    """The dense solve of perfbench's check_surface on a real symmetric B, with its temporaries."""
+    import numpy as np
+
+    n = h_t.size
+    jb = 1j * CHECKER_Z0 * b
+    eye = np.eye(n)
+    np.linalg.solve(eye + jb, (eye - jb) @ h_t)
 
 
 def measure_sweep(sizes: list[int]) -> dict:
@@ -256,6 +275,9 @@ def measure(arch: str, sizes: list[int]) -> dict:
         architecture.ScatteringMatrix.apply = timed(spans, "power", architecture.ScatteringMatrix.apply)
     post_init = architecture.ScatteringMatrix.__post_init__
     architecture.ScatteringMatrix.__post_init__ = timed(spans, "check", post_init)
+    checker = np.random.default_rng(0).standard_normal((CHECKER_N, CHECKER_N))
+    checker += checker.T
+    checker_h = gen_rayleigh(CHECKER_N, Rng(0)).h_t
     out = {}
     for n in sizes:
         spec = architecture.parse_arch(ARCH_LABELS[arch], n)
@@ -264,6 +286,7 @@ def measure(arch: str, sizes: list[int]) -> dict:
         dense = 0
         for k in range(CALLS.get(n, 5)):
             pair = gen_rayleigh(n, Rng(k + 1))
+            checker_solve(checker, checker_h)
             spans.clear()
             start = time.perf_counter()
             result = optimize.optimize(pair, spec)
@@ -325,12 +348,16 @@ def main(argv=None) -> int:
     if args.measure:
         json.dump({"layers": measure(args.arch, sizes), "env": environment()}, sys.stdout)
         return 0
+    method = f"{PASSES} alternating passes of the trees, each figure the median over a tree's passes"
+    if args.arch not in UNITS:
+        method += (f"; each timed call follows the dense {CHECKER_N} x {CHECKER_N} complex solve "
+                   f"perfbench's checker runs after each optimize() call")
     entry = {"date": datetime.date.today().isoformat(),
              "command": " ".join(["python", "tools/fc_layers.py", *map(shlex.quote, argv or sys.argv[1:])]),
              "arch": args.arch, "unit": f"ms, median per {UNITS.get(args.arch, 'call')}",
-             "note": args.note, "trees": {}}
+             "method": method, "note": args.note, "trees": {}}
     passes: dict[str, list[dict]] = {}
-    for _ in range(SWEEP_PASSES if args.arch in UNITS else 1):
+    for _ in range(PASSES):
         for spec in args.tree:
             name, src = spec.split("=", 1)
             keep = [n for n in sizes if f"{name}:{n}" not in args.skip]

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InputError, NumericalFailure
+from .errors import InputError, NumericalFailure, check_count
 from .linalg import (
     THETA_SYM_TOL,
     THETA_UNITARY_TOL,
@@ -80,8 +80,7 @@ class ArchitectureSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown architecture kind {self.kind!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InputError(f"element count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", check_count(self.n, "element count"))
         object.__setattr__(self, "cuts", tuple(int(c) for c in self.cuts))
         if self.kind == KIND_GROUP:
             partition_from_cuts(self.cuts, self.n)
@@ -121,6 +120,7 @@ def parse_arch(text: str, n: int) -> ArchitectureSpec:
     """Parse an architecture label: sc, tc, fc, gc:k, or gc:I=2,5,9."""
     if not isinstance(text, str):
         raise InputError(f"architecture label must be a string, got {text!r}")
+    n = check_count(n, "element count")
     label = text.strip()
     if label == "sc":
         return ArchitectureSpec(KIND_SINGLE, n)

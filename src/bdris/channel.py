@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NumericalFailure
+from .errors import InputError, NumericalFailure, check_count
 from .linalg import proportional_adjacencies, row_norms
 
 _MASK64 = (1 << 64) - 1
@@ -375,9 +375,7 @@ def read_channel_json(fp) -> ChannelPair:
         raise InputError(f"invalid channel JSON: {exc}") from exc
     if not isinstance(doc, dict) or not {"n", "h_r", "h_t"} <= set(doc):
         raise InputError('channel JSON must be an object with keys "n", "h_r", "h_t"')
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f'"n" must be a positive integer, got {n!r}')
+    n = check_count(doc["n"], '"n"')
     vecs = []
     for key in ("h_r", "h_t"):
         entries = doc[key]
@@ -397,8 +395,7 @@ def read_channel_json(fp) -> ChannelPair:
 
 
 def _check_size(n) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError(f"channel length must be a positive integer, got {n!r}")
+    check_count(n, "channel length")
 
 
 def _check_groups(n, group_size) -> None:

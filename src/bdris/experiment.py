@@ -215,7 +215,11 @@ class SummaryRow(NamedTuple):
 
 
 def resolve_archs(config: ExperimentConfig) -> dict[int, list[ArchitectureSpec]]:
-    """Parse every architecture label for every size, failing up front."""
+    """Parse every architecture label for every size, failing up front.
+
+    A repeated size or label string fails too: the summary keys its cells
+    by (scenario, n, label), so repeats would merge into one cell.
+    """
     if not config.sizes:
         raise InputError("at least one size is required")
     if not config.archs:
@@ -231,6 +235,10 @@ def resolve_archs(config: ExperimentConfig) -> dict[int, list[ArchitectureSpec]]
             raise InputError(f"sizes must be positive, got {n}")
         resolved[n] = [parse_arch(label, n) for label in config.archs]
         scenario.resolve(n, config.group_size, config.q_override)
+    if len(resolved) < len(config.sizes):
+        raise InputError(f"sizes must not repeat, got {list(config.sizes)}")
+    if len(set(config.archs)) < len(config.archs):
+        raise InputError(f"architecture labels must not repeat, got {list(config.archs)}")
     return resolved
 
 

@@ -64,7 +64,7 @@ from .architecture import (
     scattering_from_susceptance,
 )
 from .channel import ChannelPair, ChannelStack, Rng
-from .errors import InputError, NumericalFailure
+from .errors import InputError, NumericalFailure, check_count
 from .linalg import min_norm_least_squares, row_norms
 
 # A steering system counts as consistent when the least-squares residual is
@@ -271,22 +271,23 @@ def _solve(h_r, h_t, norms_r, norms_t, spec: ArchitectureSpec, z0: float):
 def _solve_tc(h_r, h_t, norm_r, norm_t, z0: float):
     """(B as its bands, residual norm, consistent) of one pair's tridiagonal steering system.
 
-    The O(n) recursion solves it, and minimum-norm least squares on
-    build_tc_system's real-stacked system does when a 2x2 block is
-    near-singular or the recursion's residual fails CONSISTENT_RTOL (the
-    adversarial set).  Either way B is handed over as its bands, the
-    diagonal and the couplings, with no dense n x n B, and its Theta is the
-    Cayley map's O(n) operator on the L D L^T factors of I + j z0 B (or,
-    when their bound fails, the O(n^2) dense sweep).  norm_r and norm_t are
-    the norms of h_r and h_t (_tc_steering).  Needs n >= 2.
+    The O(n) recursion solves it, and minimum-norm least squares on the
+    same alpha and beta, stacked as build_tc_system stacks them
+    (_least_squares), does when a 2x2 block is near-singular or the
+    recursion's residual fails CONSISTENT_RTOL (the adversarial set).
+    Either way B is handed over as its bands, the diagonal and the
+    couplings, with no dense n x n B, and its Theta is the Cayley map's
+    O(n) operator on the L D L^T factors of I + j z0 B (or, when their
+    bound fails, the O(n^2) dense sweep).  norm_r and norm_t are the norms
+    of h_r and h_t (_tc_steering).  Needs n >= 2.
     """
     n = h_r.size
-    solved = _solve_tridiagonal(*_tc_steering(h_r, h_t, norm_r, norm_t, z0))
+    alpha, beta = _tc_steering(h_r, h_t, norm_r, norm_t, z0)
+    solved = _solve_tridiagonal(alpha, beta)
     if solved is None:
-        system = build_tc_system(ChannelPair(h_r, h_t), z0)
-        sol = min_norm_least_squares(system.a, system.b)
-        diag, coupling, residual = sol.x[:n], sol.x[n:], sol.residual_norm
-        consistent = residual <= CONSISTENT_RTOL * float(np.linalg.norm(system.b))
+        x, residual, scale = _least_squares(alpha, beta, _tc_entries(n))
+        diag, coupling = x[:n], x[n:]
+        consistent = residual <= CONSISTENT_RTOL * scale
     else:
         diag, coupling, residual = solved
         consistent = True
@@ -330,8 +331,7 @@ def brute_force_power_search(pair: ChannelPair, spec: ArchitectureSpec,
     never exceed the full upper bound.
     """
     _check_sizes([pair], spec)
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise InputError(f"evaluation budget must be a positive integer, got {budget!r}")
+    budget = check_count(budget, "evaluation budget")
     if rng is None:
         raise InputError("brute_force_power_search needs an explicit rng")
     _check_z0(z0)
@@ -590,8 +590,8 @@ def _solve_groups(idx, h_r, h_t, z0: float):
     for g in fallback:
         # group_norms rounds as np.linalg.norm does above width 1, so this
         # leg is the SVD solve of the group alone
-        system = _stacked_system(*_steering(hr[g] / nr[g], ht[g] / nt[g], z0), entries)
-        blocks[slot[g]], residuals[g], rhs_norms[g] = _least_squares_block(*system, entries, width)
+        x, residuals[g], rhs_norms[g] = _least_squares(*_steering(hr[g] / nr[g], ht[g] / nt[g], z0), entries)
+        blocks[slot[g]] = _symmetric_block(x, entries, width)
     return (idx, blocks), factored, residuals, rhs_norms, nr, nt
 
 
@@ -715,10 +715,11 @@ def _stacked_system(alpha, beta, entries):
     return np.vstack([m.real, m.imag]), np.concatenate([beta.real, beta.imag])
 
 
-def _least_squares_block(a, rhs, entries, size: int):
-    """(B block, residual norm, ||rhs||) of the SVD fallback on one group's real-stacked system."""
+def _least_squares(alpha, beta, entries):
+    """(x, residual norm, ||rhs||) of the SVD fallback on the real-stacked B alpha = beta."""
+    a, rhs = _stacked_system(alpha, beta, entries)
     sol = min_norm_least_squares(a, rhs)
-    return _symmetric_block(sol.x, entries, size), sol.residual_norm, float(np.linalg.norm(rhs))
+    return sol.x, sol.residual_norm, float(np.linalg.norm(rhs))
 
 
 def _symmetric_block(values, entries, size: int) -> np.ndarray:

@@ -337,6 +337,21 @@ def test_simulate_bad_sizes_text(tmp_path, capsys):
     assert "--sizes" in err
 
 
+@pytest.mark.parametrize("sizes, archs, message", [
+    ("8,8", "gc:1", "sizes must not repeat"),
+    ("8", "sc,sc,gc:1", "labels must not repeat"),
+])
+def test_simulate_repeats_are_input_errors(tmp_path, capsys, sizes, archs, message):
+    # repeats would merge into one summary cell: sc's trials doubled
+    summary = tmp_path / "s.csv"
+    code, _, err = run(capsys, "simulate", "--scenario", "rayleigh", "--sizes", sizes,
+                       "--trials", "3", "--arch", archs, "--out", str(tmp_path / "r.csv"),
+                       "--summary", str(summary))
+    assert code == 2
+    assert message in err
+    assert not summary.exists()
+
+
 def test_simulate_zero_threads_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--scenario", "rayleigh",
                        "--sizes", "2", "--trials", "1", "--threads", "0",

@@ -61,6 +61,17 @@ def test_resolve_archs_validation():
     with pytest.raises(InputError):
         resolve_archs(ExperimentConfig(scenario="rayleigh", sizes=(4,), trials=2,
                                        archs=()))
+    # a repeated size or label string would merge into one summary cell
+    with pytest.raises(InputError, match="sizes must not repeat"):
+        resolve_archs(ExperimentConfig(scenario="rayleigh", sizes=(4, 8, 4), trials=2))
+    with pytest.raises(InputError, match="sizes must not repeat"):
+        resolve_archs(ExperimentConfig(scenario="rayleigh", sizes=(4, np.int64(4)), trials=2))
+    with pytest.raises(InputError, match="labels must not repeat"):
+        resolve_archs(ExperimentConfig(scenario="rayleigh", sizes=(4,), trials=2,
+                                       archs=("sc", "gc:1", "sc")))
+    # equal architectures under distinct labels stay distinct cells
+    assert len(resolve_archs(ExperimentConfig(scenario="rayleigh", sizes=(4,), trials=2,
+                                              archs=("sc", "gc:1")))[4]) == 2
     # group size must divide every requested size
     with pytest.raises(InputError):
         resolve_archs(ExperimentConfig(scenario="gc_favorable", sizes=(4, 6), trials=2,

@@ -191,11 +191,14 @@ def test_worked_example_takes_fallback(svd_calls):
     assert res.residual_norm ** 2 == pytest.approx(2.0 / 7.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("n", (16, 64))
+@pytest.mark.parametrize("n", (4, 8, 16, 64))
 def test_tc_adversarial_fallbacks_match_svd(n, svd_calls):
     for trial in range(3):
         pair = gen_tc_adversarial(n, Rng(8000 + 10 * n + trial))
         del svd_calls[:]
+        # tc's fallback solves the alpha and beta its recursion formed:
+        # build_tc_system's minimum-norm solution, bands and residual bit
+        # for bit
         tc = assert_same_as_svd(pair, "tc")
         assert len(svd_calls) == 1 and not tc.consistent
         # every width-2 group holds one swapped pair, whose alpha entries
